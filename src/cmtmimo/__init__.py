@@ -4,17 +4,15 @@ Godard-style blind tap-weight tracker.
 The package models one uplink subcarrier: cross-cell gains (topology),
 COST 207 multipath draws (channel), cosine-modulated multitone loopback
 statistics (cmt), pilot-contaminated estimation (airlink), reference
-combiners and SINR measurement (combine), the blind tracker (blind), and
-the canonical experiments (harness).  ``kernels.BACKEND`` names the
-active tracking kernel: the compiled extension when available, else the
-NumPy fallback with identical semantics.
+combiners (combine), the blind tracker (blind) and its NumPy tracking
+kernel (kernels), and the canonical experiments with the SINR metric
+``block_sinr`` (harness).
 """
 
 from .airlink import (
     ChannelEstimate,
     PilotBook,
     ReceivedFrame,
-    TransmitSymbol,
     dft_pilot_book,
     estimate_channels_correlate,
     estimate_channels_direct,
@@ -29,7 +27,6 @@ from .blind import (
     PamAlphabet,
     blind_step,
     dispersion_constant,
-    godard_cost,
     init_weights,
     run_packet,
 )
@@ -37,12 +34,9 @@ from .channel import (
     COST207_TU6,
     ChannelRealization,
     PowerDelayProfile,
-    SubcarrierChannel,
-    channel_matrix,
     draw_channels,
     freq_response,
     matrix_stack,
-    subcarrier_channel,
 )
 from .cmt import (
     CmtConfig,
@@ -53,16 +47,8 @@ from .cmt import (
     design_prototype,
     measure_intrinsic_stats,
 )
-from .combine import (
-    CombinerWeights,
-    GainNormalizer,
-    SinrReport,
-    measure_sinr,
-    mf_detect,
-    mf_weights,
-    mmse_weights,
-)
-from .config import ExperimentConfig, apply_override, load_config
+from .combine import CombinerWeights, mf_weights, mmse_weights
+from .config import ExperimentConfig, load_config
 from .harness import (
     block_sinr,
     build_scenario,
@@ -73,14 +59,12 @@ from .harness import (
     run_gaussianity,
     trial_rng,
 )
-from .kernels import BACKEND
 from .topology import CellTopology, build_topology, explicit_topology
 from .verify import run_verify
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "BlindTrackerState",
     "COST207_TU6",
     "CellTopology",
@@ -90,23 +74,17 @@ __all__ = [
     "CombinerWeights",
     "DEFAULT_MU",
     "ExperimentConfig",
-    "GainNormalizer",
     "IntrinsicStats",
     "PamAlphabet",
     "PilotBook",
     "PowerDelayProfile",
     "PrototypeFilter",
     "ReceivedFrame",
-    "SinrReport",
-    "SubcarrierChannel",
-    "TransmitSymbol",
-    "apply_override",
     "blind_step",
     "block_sinr",
     "build_scenario",
     "build_topology",
     "calibrate_noise",
-    "channel_matrix",
     "cmt_demodulate",
     "cmt_synthesize",
     "design_prototype",
@@ -117,14 +95,11 @@ __all__ = [
     "estimate_channels_direct",
     "explicit_topology",
     "freq_response",
-    "godard_cost",
     "init_weights",
     "load_config",
     "make_transmit_symbol",
     "matrix_stack",
     "measure_intrinsic_stats",
-    "measure_sinr",
-    "mf_detect",
     "mf_weights",
     "mmse_weights",
     "receive_frame",
@@ -135,7 +110,6 @@ __all__ = [
     "run_packet",
     "run_verify",
     "send_pilots",
-    "subcarrier_channel",
     "trial_rng",
     "uplink_batch",
 ]

@@ -22,15 +22,6 @@ from .topology import CellTopology
 
 
 @dataclass(frozen=True)
-class TransmitSymbol:
-    """One user's symbol t = s + i q (fields may be arrays of draws)."""
-
-    s: np.ndarray
-    q: np.ndarray
-    t: np.ndarray
-
-
-@dataclass(frozen=True)
 class ReceivedFrame:
     """One BS's received vector at one subcarrier and symbol time."""
 
@@ -74,19 +65,17 @@ class ChannelEstimate:
             raise ValueError("estimate contains non-finite entries")
 
 
-def make_transmit_symbol(
-    s, sigma_q: float, rng: np.random.Generator
-) -> TransmitSymbol:
+def make_transmit_symbol(s, sigma_q: float, rng: np.random.Generator) -> np.ndarray:
     """Attach the intrinsic-interference term to PAM symbols.
 
-    q ~ Normal(0, sigma_q**2), independent across symbols; t = s + i q.
-    ``s`` may be a scalar or an array of symbols.
+    Returns t = s + i q with q ~ Normal(0, sigma_q**2), independent across
+    symbols.  ``s`` may be a scalar or an array of symbols.
     """
     if sigma_q < 0.0:
         raise ValueError("sigma_q must be >= 0")
     s = np.asarray(s, dtype=float)
     q = sigma_q * rng.standard_normal(s.shape)
-    return TransmitSymbol(s=s, q=q, t=s + 1j * q)
+    return s + 1j * q
 
 
 def dft_pilot_book(num_users: int, pilot_len: int) -> PilotBook:

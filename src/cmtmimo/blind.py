@@ -10,8 +10,8 @@ where R is the dispersion constant of the PAM alphabet.  The decision
 variable is the real part of the combiner output (CMT decisions are real
 PAM), and the update is the instantaneous gradient of ((|y|^p) - R)^2 at
 p = 1; the ``p`` field only changes R.  The recursion is strictly
-sequential; ``run_packet`` dispatches the hot loop to the selected kernel
-backend.
+sequential; ``run_packet`` runs the hot loop in ``kernels.track_segment``,
+whose one-update reference is ``blind_step``.
 """
 
 from __future__ import annotations
@@ -74,14 +74,6 @@ def dispersion_constant(alphabet: PamAlphabet, p: int) -> float:
     if denom == 0.0:
         raise ValueError("alphabet has zero |s|^p moment")
     return alphabet.moment(2 * p) / denom
-
-
-def godard_cost(y_samples, p: int, r: float) -> float:
-    """Sample dispersion cost: mean of (|y|^p - R)^2."""
-    y = np.asarray(y_samples, dtype=float)
-    if y.size == 0:
-        raise ValueError("need at least one sample")
-    return float(np.mean((np.abs(y) ** p - r) ** 2))
 
 
 @dataclass
@@ -187,6 +179,12 @@ def run_packet(
     trajectory : list of (iteration, sinr_db)
     state : BlindTrackerState
     decisions : ndarray, only when ``collect_decisions``
+
+    Raises
+    ------
+    FloatingPointError
+        When the weights turn non-finite; the message names the iteration
+        reached.  Checked after every kernel segment, before any probe.
     """
     packet = np.ascontiguousarray(packet, dtype=complex)
     if packet.ndim != 2 or packet.shape[0] == 0:
@@ -219,10 +217,9 @@ def run_packet(
     decisions = np.empty(total) if collect_decisions else None
     trajectory = []
     pos = 0
-    for stop in stops:
-        if stop == pos:
-            trajectory.append((state.iteration, float(probe(state.w))))
-            continue
+
+    def advance(stop: int) -> None:
+        nonlocal pos
         seg = decisions[pos:stop] if collect_decisions else None
         kernels.track_segment(
             state.w, packet, norms, pos, stop - pos,
@@ -230,14 +227,18 @@ def run_packet(
         )
         state.iteration += stop - pos
         pos = stop
+        if not np.all(np.isfinite(state.w)):
+            raise FloatingPointError(
+                f"blind tracker diverged: weights are non-finite at iteration "
+                f"{state.iteration} (mu={state.mu}, normalized={normalized})"
+            )
+
+    for stop in stops:
+        if stop > pos:
+            advance(stop)
         trajectory.append((state.iteration, float(probe(state.w))))
     if pos < total:
-        seg = decisions[pos:total] if collect_decisions else None
-        kernels.track_segment(
-            state.w, packet, norms, pos, total - pos,
-            state.mu, state.epsilon, state.R, normalized, seg,
-        )
-        state.iteration += total - pos
+        advance(total)
 
     if collect_decisions:
         return trajectory, state, decisions

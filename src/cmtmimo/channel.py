@@ -106,18 +106,6 @@ class ChannelRealization:
             raise ValueError("num_subcarriers must be >= 1")
 
 
-@dataclass(frozen=True)
-class SubcarrierChannel:
-    """Flat gain vector of one link at one subcarrier."""
-
-    h: np.ndarray
-    subcarrier_index: int
-
-    def __post_init__(self) -> None:
-        if self.h.ndim != 1:
-            raise ValueError("h must be a vector (one antenna axis)")
-
-
 def draw_channels(
     topology: CellTopology,
     pdp: PowerDelayProfile,
@@ -173,50 +161,12 @@ def freq_response(
     return np.asarray(taps) @ phase
 
 
-def channel_matrix(
-    realization: ChannelRealization,
-    source_cell: int,
-    receiving_bs: int,
-    subcarrier_index: int,
-) -> np.ndarray:
-    """Per-subcarrier channel matrix H_mj, shape (N, K).
-
-    Column l is the flat gain vector of user l of ``source_cell`` at
-    ``receiving_bs``, i.e. the frequency response of that link's taps.
-    """
-    m = realization.taps.shape[0]
-    k = realization.taps.shape[2]
-    if not (0 <= source_cell < m and 0 <= receiving_bs < m):
-        raise ValueError("cell index out of range")
-    link_taps = realization.taps[source_cell, receiving_bs]  # (K, N, T)
-    h = freq_response(
-        link_taps,
-        realization.pdp.tap_delays,
-        subcarrier_index,
-        realization.num_subcarriers,
-        realization.sample_rate,
-    )  # (K, N)
-    return h.T
-
-
-def subcarrier_channel(
-    realization: ChannelRealization,
-    source_cell: int,
-    receiving_bs: int,
-    user: int,
-    subcarrier_index: int,
-) -> SubcarrierChannel:
-    """Flat gain vector of a single link at one subcarrier."""
-    if not 0 <= user < realization.taps.shape[2]:
-        raise ValueError("user index out of range")
-    h = channel_matrix(realization, source_cell, receiving_bs, subcarrier_index)
-    return SubcarrierChannel(h=h[:, user], subcarrier_index=subcarrier_index)
-
-
 def matrix_stack(realization: ChannelRealization, subcarrier_index: int) -> np.ndarray:
     """All channel matrices at one subcarrier, shape (M, M, N, K).
 
-    ``stack[m, j]`` is ``channel_matrix(realization, m, j, subcarrier_index)``.
+    ``stack[m, j]`` is the channel matrix H_mj from cell m's users to BS j:
+    column l holds the frequency response (see ``freq_response``) of the
+    taps of user l of cell m at every antenna of BS j.
     """
     if not 0 <= subcarrier_index < realization.num_subcarriers:
         raise ValueError(

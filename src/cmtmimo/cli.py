@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import harness, kernels, verify
+from . import harness, verify
 from .config import assign_override, load_config, validate_config
 
 
@@ -73,7 +73,6 @@ def main(argv=None) -> int:
         print(verify.format_report(report))
         return 0 if report.passed else 1
 
-    print(f"kernel backend: {kernels.BACKEND}")
     if args.command == "simulate":
         result = harness.run_fig3(config)
         print(f"wrote {result['trajectory_csv']}")

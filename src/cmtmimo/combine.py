@@ -1,21 +1,17 @@
-"""Linear combining at the base station and the empirical SINR metric.
+"""Linear combining at the base station: the reference combiners.
 
 Matched-filter weights maximize array gain without interference
 suppression; MMSE weights invert the received covariance (built from
-cross-cell channel knowledge) and dominate MF on every realization.  SINR
-is measured on the real part of the combiner output with a least-squares
-signal gain, so the same metric applies to blind weights of arbitrary
-scale and rotation.
+cross-cell channel knowledge) and dominate MF on every realization.  The
+SINR metric that compares them with the blind weights is
+``harness.block_sinr``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-
-_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -34,31 +30,6 @@ class CombinerWeights:
             raise ValueError("weights must be nonzero")
 
 
-@dataclass(frozen=True)
-class GainNormalizer:
-    """Per-user channel energies d_l = ||h_l||^2 (the diagonal of D)."""
-
-    d: np.ndarray
-
-    def __post_init__(self) -> None:
-        if np.any(self.d <= 0.0):
-            raise ValueError("channel energies must be positive")
-
-    @classmethod
-    def from_channel(cls, h_matrix: np.ndarray) -> "GainNormalizer":
-        return cls(d=np.sum(np.abs(h_matrix) ** 2, axis=0))
-
-
-@dataclass(frozen=True)
-class SinrReport:
-    """Empirical SINR of a combiner over generated frames."""
-
-    sinr_db: float
-    signal_gain: float
-    residual_power: float
-    num_symbols: int
-
-
 def mf_weights(h: np.ndarray) -> CombinerWeights:
     """Matched-filter weights w = h / ||h||^2, so that w^H h = 1."""
     h = np.asarray(h, dtype=complex)
@@ -66,21 +37,6 @@ def mf_weights(h: np.ndarray) -> CombinerWeights:
     if energy == 0.0:
         raise ValueError("cannot build MF weights from a zero channel vector")
     return CombinerWeights(w=h / energy, kind="MF")
-
-
-def mf_detect(x, h_matrix: np.ndarray, normalizer: GainNormalizer | None = None) -> np.ndarray:
-    """Matched-filter detection Re{D^-1 H^H x} for all K users.
-
-    ``normalizer`` defaults to the energies of the same ``h_matrix`` used
-    for combining (perfect or contaminated, as the caller chooses).
-    """
-    x_vec = x.x if hasattr(x, "x") else np.asarray(x, dtype=complex)
-    h_matrix = np.asarray(h_matrix, dtype=complex)
-    if h_matrix.shape[0] != x_vec.shape[0]:
-        raise ValueError("channel matrix and received vector disagree on N")
-    if normalizer is None:
-        normalizer = GainNormalizer.from_channel(h_matrix)
-    return np.real(h_matrix.conj().T @ x_vec) / normalizer.d
 
 
 def mmse_weights(
@@ -130,58 +86,3 @@ def mmse_weights(
         out.append(CombinerWeights(w=w / scale, kind="MMSE"))
     return out
 
-
-def measure_sinr(
-    w,
-    scenario: Callable[[int], tuple[np.ndarray, np.ndarray]],
-    num_symbols: int,
-) -> SinrReport:
-    """Empirical output SINR of a combiner over generated frames.
-
-    Parameters
-    ----------
-    w : CombinerWeights or ndarray
-        Combiner to evaluate.
-    scenario : callable(n) -> (X, s)
-        Yields ``n`` received vectors (n, N) with the desired user's true
-        PAM symbols (n,).  Called repeatedly in chunks; any rng state lives
-        inside the callable.
-    num_symbols : int
-        Total symbols to accumulate (>= 1000 for a stable estimate).
-
-    The output is y = Re{w^H x}; the least-squares gain g = sum(y s)/sum(s^2)
-    splits y into signal and residual, and sinr = g^2 E[s^2] / residual.
-    Zero residual reports +inf; zero gain reports -inf.
-    """
-    if num_symbols < 1000:
-        raise ValueError("num_symbols must be >= 1000")
-    w_vec = w.w if isinstance(w, CombinerWeights) else np.asarray(w, dtype=complex)
-    sum_ys = 0.0
-    sum_ss = 0.0
-    sum_yy = 0.0
-    done = 0
-    while done < num_symbols:
-        n = min(_CHUNK, num_symbols - done)
-        x_block, s_block = scenario(n)
-        y = np.real(x_block @ w_vec.conj())
-        sum_ys += float(y @ s_block)
-        sum_ss += float(s_block @ s_block)
-        sum_yy += float(y @ y)
-        done += n
-    if sum_ss == 0.0:
-        raise ValueError("scenario produced all-zero symbols")
-    gain = sum_ys / sum_ss
-    residual = (sum_yy - gain * sum_ys) / done
-    symbol_energy = sum_ss / done
-    if gain == 0.0:
-        sinr_db = -np.inf
-    elif residual <= 0.0:
-        sinr_db = np.inf
-    else:
-        sinr_db = 10.0 * np.log10(gain * gain * symbol_energy / residual)
-    return SinrReport(
-        sinr_db=float(sinr_db),
-        signal_gain=float(gain),
-        residual_power=float(max(residual, 0.0)),
-        num_symbols=done,
-    )

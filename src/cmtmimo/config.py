@@ -199,6 +199,8 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         ("pilot.pilot_len", config.pilot.pilot_len >= config.topology.users_per_cell),
         ("pilot.estimator", config.pilot.estimator in ("direct", "correlate")),
         ("blind.mu", config.blind.mu >= 0.0),
+        # the normalized (NLMS) step 2 mu must stay below 2 to converge
+        ("blind.mu", not config.blind.normalized or config.blind.mu < 1.0),
         ("blind.epsilon", config.blind.epsilon is None or config.blind.epsilon >= 0.0),
         ("blind.p", config.blind.p >= 1),
         ("blind.packet_len", config.blind.packet_len >= 1),
@@ -233,12 +235,6 @@ def load_config(path: str | None = None) -> ExperimentConfig:
             raise ValueError("config file must contain a mapping at top level")
         for key, value in data.items():
             _assign(config, str(key), value, str(key))
-    return _validate(config)
-
-
-def apply_override(config: ExperimentConfig, spec: str) -> ExperimentConfig:
-    """Apply one ``dotted.path=value`` override; the value is parsed as YAML."""
-    assign_override(config, spec)
     return _validate(config)
 
 

@@ -109,7 +109,7 @@ class TrialScenario:
         topo = self.topo
         shape = (topo.num_cells, topo.users_per_cell, num_symbols)
         s = self.alphabet.draw(self.rng, shape)
-        t = airlink.make_transmit_symbol(s, self.sigma_q, self.rng).t
+        t = airlink.make_transmit_symbol(s, self.sigma_q, self.rng)
         x = airlink.uplink_batch(topo, self.h_stack, 0, t, self.sigma_v_sq, self.rng)
         return x, s[0, 0]
 
@@ -157,24 +157,44 @@ def build_scenario(config: ExperimentConfig, rng: np.random.Generator) -> TrialS
     )
 
 
-def _replay(x_block: np.ndarray, s_block: np.ndarray):
-    """Scenario callable serving a fixed held-out block in chunks."""
-    pos = 0
-
-    def gen(n: int):
-        nonlocal pos
-        if pos + n > s_block.size:
-            raise ValueError("probe block exhausted")
-        chunk = x_block[pos : pos + n], s_block[pos : pos + n]
-        pos += n
-        return chunk
-
-    return gen
-
-
 def block_sinr(w, x_block: np.ndarray, s_block: np.ndarray) -> float:
-    """Empirical SINR of weights on a fixed held-out block."""
-    return combine.measure_sinr(w, _replay(x_block, s_block), s_block.size).sinr_db
+    """Empirical output SINR of a combiner on a fixed held-out block.
+
+    Parameters
+    ----------
+    w : CombinerWeights or ndarray
+        Combiner to evaluate.
+    x_block : ndarray, shape (n, N)
+        Received vectors.
+    s_block : ndarray, shape (n,)
+        The desired user's true PAM symbols (n >= 1000 for a stable
+        estimate).
+
+    The output is y = Re{w^H x}; the least-squares gain g = sum(y s)/sum(s^2)
+    splits y into signal and residual, and sinr = g^2 E[s^2] / residual, so
+    the metric applies to weights of any scale and rotation.  Zero residual
+    reports +inf; zero gain reports -inf.
+    """
+    n = s_block.size
+    if n < 1000:
+        raise ValueError("block_sinr needs at least 1000 symbols")
+    if x_block.shape[0] != n:
+        raise ValueError("x_block rows disagree with the length of s_block")
+    w_vec = w.w if isinstance(w, combine.CombinerWeights) else np.asarray(w, dtype=complex)
+    y = np.real(x_block @ w_vec.conj())
+    sum_ys = float(y @ s_block)
+    sum_ss = float(s_block @ s_block)
+    sum_yy = float(y @ y)
+    if sum_ss == 0.0:
+        raise ValueError("s_block holds only zero symbols")
+    gain = sum_ys / sum_ss
+    residual = (sum_yy - gain * sum_ys) / n
+    symbol_energy = sum_ss / n
+    if gain == 0.0:
+        return -np.inf
+    if residual <= 0.0:
+        return np.inf
+    return float(10.0 * np.log10(gain * gain * symbol_energy / residual))
 
 
 def reference_weights(scen: TrialScenario, config: ExperimentConfig):

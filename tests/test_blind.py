@@ -48,12 +48,6 @@ def test_dispersion_constant_exact_values():
         blind.dispersion_constant(binary, 0)
 
 
-def test_godard_cost_hand_value():
-    y = np.array([1.0, -2.0, 0.5])
-    # p=1, R=1: mean of (|y|-1)^2 = (0 + 1 + 0.25)/3
-    assert blind.godard_cost(y, 1, 1.0) == pytest.approx(1.25 / 3)
-
-
 def test_init_weights_gain_identity():
     rng = np.random.default_rng(1)
     h_hat = rng.standard_normal(32) + 1j * rng.standard_normal(32)
@@ -231,7 +225,32 @@ def test_descent_on_stationary_mixture():
     x += 0.05 * (rng.standard_normal((400, n)) + 1j * rng.standard_normal((400, n)))
     h_hat = h + 0.4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     state = blind.init_weights(h_hat, mu=0.05)
-    before = blind.godard_cost(np.real(x @ state.w.conj()), 1, state.R)
+
+    def dispersion_cost():
+        # sample Godard cost at p = 1: mean of (|y| - R)^2
+        y = np.real(x @ state.w.conj())
+        return np.mean((np.abs(y) - state.R) ** 2)
+
+    before = dispersion_cost()
     blind.run_packet(state, x, passes=10)
-    after = blind.godard_cost(np.real(x @ state.w.conj()), 1, state.R)
+    after = dispersion_cost()
     assert after < before
+
+
+def test_run_packet_raises_on_divergence():
+    # an unnormalized step this large overflows the weights; the run must
+    # stop with the iteration reached instead of probing non-finite weights
+    rng = np.random.default_rng(10)
+    n = 16
+    packet = rng.standard_normal((50, n)) + 1j * rng.standard_normal((50, n))
+    state = blind.init_weights(packet[0], mu=3.0)
+    probed = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match=r"iteration \d+"):
+            blind.run_packet(
+                state, packet, passes=10,
+                probe=lambda w: probed.append(w.copy()) or 0.0, probe_at=50,
+                normalized=False,
+            )
+    assert all(np.all(np.isfinite(w)) for w in probed)
+    assert not np.all(np.isfinite(state.w))

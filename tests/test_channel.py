@@ -102,11 +102,12 @@ def test_channel_matrix_and_stack_consistency():
     assert stack.shape == (3, 3, 4, 2)
     for m in range(3):
         for j in range(3):
-            direct = channel.channel_matrix(real, m, j, 10)
-            assert np.allclose(stack[m, j], direct, atol=1e-15)
-    sub = channel.subcarrier_channel(real, 1, 2, 0, 10)
-    assert sub.subcarrier_index == 10
-    assert np.allclose(sub.h, stack[1, 2][:, 0], atol=1e-15)
+            for l in range(2):
+                direct = channel.freq_response(
+                    real.taps[m, j, l], real.pdp.tap_delays, 10,
+                    real.num_subcarriers, real.sample_rate,
+                )
+                assert np.allclose(stack[m, j][:, l], direct, atol=1e-15)
 
 
 def test_matrix_stack_rejects_bad_subcarrier():

@@ -41,7 +41,6 @@ def test_simulate_writes_csvs(tmp_path, capsys):
     assert (tmp_path / "trajectory.csv").exists()
     assert (tmp_path / "summary.csv").exists()
     out = capsys.readouterr().out
-    assert "kernel backend:" in out
     assert "trajectory.csv" in out
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cmtmimo import config as config_mod
-from cmtmimo.config import apply_override, load_config
+from cmtmimo.config import assign_override, load_config, validate_config
 
 
 def test_defaults_load_without_file():
@@ -48,6 +48,11 @@ def test_unknown_keys_are_rejected(tmp_path):
         load_config(str(path))
 
 
+def apply_override(cfg, spec):
+    """One override through the CLI's path: assign, then validate."""
+    return validate_config(assign_override(cfg, spec))
+
+
 def test_apply_override_parses_yaml_values():
     cfg = load_config(None)
     apply_override(cfg, "blind.mu=0.01")
@@ -74,6 +79,19 @@ def test_apply_override_rejects_malformed_input():
         apply_override(cfg, "blind.mu=fast")
     with pytest.raises(ValueError):
         apply_override(cfg, "blind.packet_len=12.5")
+
+
+def test_normalized_step_must_stay_below_one():
+    # the normalized (NLMS) step 2 mu must stay below 2; unnormalized runs are not bound
+    cfg = load_config(None)
+    with pytest.raises(ValueError, match="blind.mu"):
+        apply_override(cfg, "blind.mu=1.0")
+    cfg = load_config(None)
+    apply_override(cfg, "blind.mu=0.999")
+    cfg = load_config(None)
+    assign_override(cfg, "blind.mu=3")
+    assign_override(cfg, "blind.normalized=false")
+    assert validate_config(cfg).blind.mu == 3.0
 
 
 def test_validation_rejects_inconsistent_configs():
