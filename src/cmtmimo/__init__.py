@@ -12,12 +12,10 @@ kernel (kernels), and the canonical experiments with the SINR metric
 from .airlink import (
     ChannelEstimate,
     PilotBook,
-    ReceivedFrame,
     dft_pilot_book,
     estimate_channels_correlate,
     estimate_channels_direct,
     make_transmit_symbol,
-    receive_frame,
     send_pilots,
     uplink_batch,
 )
@@ -35,7 +33,6 @@ from .channel import (
     ChannelRealization,
     PowerDelayProfile,
     draw_channels,
-    freq_response,
     matrix_stack,
 )
 from .cmt import (
@@ -79,7 +76,6 @@ __all__ = [
     "PilotBook",
     "PowerDelayProfile",
     "PrototypeFilter",
-    "ReceivedFrame",
     "blind_step",
     "block_sinr",
     "build_scenario",
@@ -94,7 +90,6 @@ __all__ = [
     "estimate_channels_correlate",
     "estimate_channels_direct",
     "explicit_topology",
-    "freq_response",
     "init_weights",
     "load_config",
     "make_transmit_symbol",
@@ -102,7 +97,6 @@ __all__ = [
     "measure_intrinsic_stats",
     "mf_weights",
     "mmse_weights",
-    "receive_frame",
     "resolve_sigma_q_sq",
     "run_eye",
     "run_fig3",

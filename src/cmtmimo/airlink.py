@@ -22,18 +22,6 @@ from .topology import CellTopology
 
 
 @dataclass(frozen=True)
-class ReceivedFrame:
-    """One BS's received vector at one subcarrier and symbol time."""
-
-    x: np.ndarray
-    noise_var: float
-
-    def __post_init__(self) -> None:
-        if self.x.ndim != 1:
-            raise ValueError("x must be a vector of length num_antennas")
-
-
-@dataclass(frozen=True)
 class PilotBook:
     """Mutually orthogonal pilot sequences, one per in-cell pilot index."""
 
@@ -95,42 +83,6 @@ def _complex_noise(shape, var: float, rng: np.random.Generator) -> np.ndarray:
     return np.sqrt(var / 2.0) * draw
 
 
-def receive_frame(
-    topology: CellTopology,
-    h_stack: np.ndarray,
-    symbols: np.ndarray,
-    noise_var: float,
-    rng: np.random.Generator,
-) -> list[ReceivedFrame]:
-    """Received vector at every BS for one symbol time.
-
-    Parameters
-    ----------
-    h_stack : ndarray, shape (M, M, N, K)
-        ``h_stack[m, j]`` is the channel matrix from cell m's users to BS j
-        at the working subcarrier (see ``channel.matrix_stack``).
-    symbols : ndarray, shape (M, K), complex
-        ``symbols[m, l]`` is t of user l in cell m.
-    noise_var : float
-        Total variance per complex receive entry.
-    """
-    m_cells = topology.num_cells
-    n_ant = h_stack.shape[2]
-    symbols = np.asarray(symbols, dtype=complex)
-    if h_stack.shape[:2] != (m_cells, m_cells) or symbols.shape != (
-        m_cells,
-        topology.users_per_cell,
-    ):
-        raise ValueError("h_stack/symbols dimensions inconsistent with topology")
-    frames = []
-    for j in range(m_cells):
-        scaled = topology.gains_at(j) * symbols  # (M, K)
-        x = np.einsum("mnk,mk->n", h_stack[:, j], scaled)
-        x = x + _complex_noise(n_ant, noise_var, rng)
-        frames.append(ReceivedFrame(x=x, noise_var=noise_var))
-    return frames
-
-
 def uplink_batch(
     topology: CellTopology,
     h_stack: np.ndarray,
@@ -139,10 +91,17 @@ def uplink_batch(
     noise_var: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Batched received vectors at one BS, shape (num_symbols, N).
+    """Received vectors at one BS over a batch of symbol times, shape (num_symbols, N).
 
-    ``symbols`` has shape (M, K, num_symbols).  Same model as
-    ``receive_frame``, vectorized over symbol times for Monte-Carlo use.
+    Parameters
+    ----------
+    h_stack : ndarray, shape (M, M, N, K)
+        ``h_stack[m, j]`` is the channel matrix from cell m's users to BS j
+        at the working subcarrier (see ``channel.matrix_stack``).
+    symbols : ndarray, shape (M, K, num_symbols), complex
+        ``symbols[m, l, n]`` is t of user l in cell m at symbol time n.
+    noise_var : float
+        Total variance per complex receive entry.
     """
     symbols = np.asarray(symbols, dtype=complex)
     scaled = topology.gains_at(receiving_bs)[:, :, None] * symbols

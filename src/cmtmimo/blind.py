@@ -185,6 +185,8 @@ def run_packet(
     FloatingPointError
         When the weights turn non-finite; the message names the iteration
         reached.  Checked after every kernel segment, before any probe.
+        Kernel segments and probes run with numpy's overflow and invalid
+        warnings off, so this error is the one signal of a divergence.
     """
     packet = np.ascontiguousarray(packet, dtype=complex)
     if packet.ndim != 2 or packet.shape[0] == 0:
@@ -233,12 +235,15 @@ def run_packet(
                 f"{state.iteration} (mu={state.mu}, normalized={normalized})"
             )
 
-    for stop in stops:
-        if stop > pos:
-            advance(stop)
-        trajectory.append((state.iteration, float(probe(state.w))))
-    if pos < total:
-        advance(total)
+    # overflow on the way to divergence is reported once, by the finite-weights
+    # check after each segment, not as numpy warnings from the kernel or probes
+    with np.errstate(over="ignore", invalid="ignore"):
+        for stop in stops:
+            if stop > pos:
+                advance(stop)
+            trajectory.append((state.iteration, float(probe(state.w))))
+        if pos < total:
+            advance(total)
 
     if collect_decisions:
         return trajectory, state, decisions

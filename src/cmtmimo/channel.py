@@ -135,38 +135,15 @@ def draw_channels(
     )
 
 
-def freq_response(
-    taps: np.ndarray,
-    tap_delays: np.ndarray,
-    subcarrier_index: int,
-    num_subcarriers: int,
-    bandwidth: float,
-) -> np.ndarray:
-    """Discrete frequency response H(f_k) = sum_t g_t exp(-2i pi f_k tau_t).
-
-    ``taps`` may carry leading axes; the tap axis is the last one.  The
-    subcarrier center is f_k = k * bandwidth / num_subcarriers.
-
-    Returns the response with the tap axis contracted away (a scalar for a
-    single link, a vector for a stack of antennas, ...).
-    """
-    if not 0 <= subcarrier_index < num_subcarriers:
-        raise ValueError(
-            f"subcarrier_index {subcarrier_index} outside [0, {num_subcarriers})"
-        )
-    if bandwidth <= 0.0:
-        raise ValueError("bandwidth must be positive")
-    f_k = subcarrier_index * bandwidth / num_subcarriers
-    phase = np.exp(-2j * np.pi * f_k * np.asarray(tap_delays, dtype=float))
-    return np.asarray(taps) @ phase
-
-
 def matrix_stack(realization: ChannelRealization, subcarrier_index: int) -> np.ndarray:
     """All channel matrices at one subcarrier, shape (M, M, N, K).
 
     ``stack[m, j]`` is the channel matrix H_mj from cell m's users to BS j:
-    column l holds the frequency response (see ``freq_response``) of the
-    taps of user l of cell m at every antenna of BS j.
+    column l holds the discrete frequency response
+
+        H(f_k) = sum_t g_t exp(-2i pi f_k tau_t),  f_k = k * sample_rate / L,
+
+    of the taps g of user l of cell m at every antenna of BS j.
     """
     if not 0 <= subcarrier_index < realization.num_subcarriers:
         raise ValueError(

@@ -10,6 +10,10 @@ invariant suite:
 
 Every subcommand accepts --config (YAML), --seed, --trials, --out, and
 repeatable --override key=value pairs applied after the file.
+
+A bad config or a diverging tracker ends the run with one
+``cmtmimo: error: ...`` line on stderr: exit code 2 for the config, 1
+for the divergence.
 """
 
 from __future__ import annotations
@@ -66,14 +70,25 @@ def _resolve_config(args: argparse.Namespace):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = _resolve_config(args)
+    try:
+        config = _resolve_config(args)
+    except ValueError as exc:
+        print(f"cmtmimo: error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        return _run(args.command, config)
+    except FloatingPointError as exc:
+        print(f"cmtmimo: error: {exc}", file=sys.stderr)
+        return 1
 
-    if args.command == "verify":
-        report = verify.run_verify(config)
-        print(verify.format_report(report))
-        return 0 if report.passed else 1
 
-    if args.command == "simulate":
+def _run(command: str, config) -> int:
+    if command == "verify":
+        results = verify.run_verify(config.run.master_seed)
+        print(verify.format_report(results))
+        return 0 if all(r.passed for r in results) else 1
+
+    if command == "simulate":
         result = harness.run_fig3(config)
         print(f"wrote {result['trajectory_csv']}")
         print(f"wrote {result['summary_csv']}")
@@ -83,14 +98,14 @@ def main(argv=None) -> int:
             f"{len(finals)} trials, final blind SINR "
             f"median {sorted(finals)[len(finals) // 2]:.2f} dB"
         )
-    elif args.command == "eye":
+    elif command == "eye":
         result = harness.run_eye(config)
         print(f"wrote {result['eye_csv']}")
         print(f"wrote {result['eye_opening_csv']}")
         openings = result["openings"]
         improved = int(sum(row[-1] > row[0] for row in openings))
         print(f"eye opening improved in {improved}/{len(openings)} trials")
-    elif args.command == "gaussianity":
+    elif command == "gaussianity":
         result = harness.run_gaussianity(config)
         stats = result["stats"]
         print(f"wrote {result['stats_csv']}")

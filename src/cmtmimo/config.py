@@ -170,52 +170,78 @@ def _assign(section, key: str, value, path: str) -> None:
     setattr(section, key, value)
 
 
-def _validate(config: ExperimentConfig) -> ExperimentConfig:
+def validate_config(config: ExperimentConfig) -> ExperimentConfig:
+    """Check every cross-field constraint; raises naming the key and its bound."""
+    topo, ch, cm, sig = config.topology, config.channel, config.cmt, config.signaling
+    noise, pilot, b, eye = config.noise, config.pilot, config.blind, config.eye
     checks = [
-        ("topology.num_cells", config.topology.num_cells >= 1),
-        ("topology.users_per_cell", config.topology.users_per_cell >= 1),
+        ("topology.num_cells", topo.num_cells >= 1, ">= 1"),
+        ("topology.users_per_cell", topo.users_per_cell >= 1, ">= 1"),
         (
-            "topology.gain_low/gain_high",
-            0.0 <= config.topology.gain_low <= config.topology.gain_high <= 1.0,
+            "topology.gain_low",
+            0.0 <= topo.gain_low <= topo.gain_high,
+            f"in [0, topology.gain_high] = [0, {topo.gain_high}]",
         ),
-        ("channel.bandwidth_hz", config.channel.bandwidth_hz > 0),
-        ("channel.num_subcarriers", config.channel.num_subcarriers >= 2),
-        ("channel.num_antennas", config.channel.num_antennas >= 1),
+        ("topology.gain_high", topo.gain_high <= 1.0, "<= 1"),
+        ("channel.bandwidth_hz", ch.bandwidth_hz > 0, "> 0"),
+        ("channel.num_subcarriers", ch.num_subcarriers >= 2, ">= 2"),
+        ("channel.num_antennas", ch.num_antennas >= 1, ">= 1"),
         (
             "channel.subcarrier_index",
-            0 <= config.channel.subcarrier_index < config.channel.num_subcarriers,
+            0 <= ch.subcarrier_index < ch.num_subcarriers,
+            f"in [0, channel.num_subcarriers) = [0, {ch.num_subcarriers})",
         ),
-        ("cmt.overlap_factor", config.cmt.overlap_factor >= 4),
-        ("cmt.rolloff", 0.0 < config.cmt.rolloff <= 1.0),
-        ("cmt.num_frames", config.cmt.num_frames > 2 * config.cmt.overlap_factor),
-        ("signaling.sigma_q_mode", config.signaling.sigma_q_mode in ("fixed", "calibrated")),
-        ("signaling.sigma_q_sq", config.signaling.sigma_q_sq >= 0.0),
-        ("noise.target_sinr_db", np.isfinite(config.noise.target_sinr_db)
-         or config.noise.target_sinr_db == np.inf),
+        ("cmt.overlap_factor", cm.overlap_factor >= 4, ">= 4"),
+        ("cmt.rolloff", 0.0 < cm.rolloff <= 1.0, "in (0, 1]"),
         (
-            "noise.sigma_v_sq",
-            config.noise.sigma_v_sq is None or config.noise.sigma_v_sq >= 0.0,
+            "cmt.num_frames",
+            cm.num_frames > 2 * cm.overlap_factor,
+            f"> 2 * cmt.overlap_factor = {2 * cm.overlap_factor}",
         ),
-        ("pilot.pilot_len", config.pilot.pilot_len >= config.topology.users_per_cell),
-        ("pilot.estimator", config.pilot.estimator in ("direct", "correlate")),
-        ("blind.mu", config.blind.mu >= 0.0),
+        (
+            "signaling.sigma_q_mode",
+            sig.sigma_q_mode in ("fixed", "calibrated"),
+            "'fixed' or 'calibrated'",
+        ),
+        ("signaling.sigma_q_sq", sig.sigma_q_sq >= 0.0, ">= 0"),
+        (
+            "noise.target_sinr_db",
+            np.isfinite(noise.target_sinr_db) or noise.target_sinr_db == np.inf,
+            "finite or +inf",
+        ),
+        ("noise.sigma_v_sq", noise.sigma_v_sq is None or noise.sigma_v_sq >= 0.0, "null or >= 0"),
+        (
+            "pilot.pilot_len",
+            pilot.pilot_len >= topo.users_per_cell,
+            f">= topology.users_per_cell = {topo.users_per_cell}",
+        ),
+        ("pilot.estimator", pilot.estimator in ("direct", "correlate"), "'direct' or 'correlate'"),
+        ("blind.mu", b.mu >= 0.0, ">= 0"),
         # the normalized (NLMS) step 2 mu must stay below 2 to converge
-        ("blind.mu", not config.blind.normalized or config.blind.mu < 1.0),
-        ("blind.epsilon", config.blind.epsilon is None or config.blind.epsilon >= 0.0),
-        ("blind.p", config.blind.p >= 1),
-        ("blind.packet_len", config.blind.packet_len >= 1),
-        ("blind.passes", config.blind.passes >= 1),
-        ("blind.probe_symbols", config.blind.probe_symbols >= 1000),
-        ("eye.updates", config.eye.updates >= 1),
-        ("eye.num_buckets", config.eye.num_buckets >= 2),
-        ("eye.samples_per_bucket", config.eye.samples_per_bucket >= 1),
-        ("run.num_trials", config.run.num_trials >= 1),
+        ("blind.mu", not b.normalized or b.mu < 1.0, "< 1 when blind.normalized is true"),
+        ("blind.epsilon", b.epsilon is None or b.epsilon >= 0.0, "null or >= 0"),
+        ("blind.p", b.p >= 1, ">= 1"),
+        ("blind.packet_len", b.packet_len >= 1, ">= 1"),
+        ("blind.passes", b.passes >= 1, ">= 1"),
+        ("blind.probe_symbols", b.probe_symbols >= 1000, ">= 1000"),
+        ("eye.updates", eye.updates >= 1, ">= 1"),
+        ("eye.num_buckets", eye.num_buckets >= 2, ">= 2"),
+        ("eye.samples_per_bucket", eye.samples_per_bucket >= 1, ">= 1"),
+        ("run.num_trials", config.run.num_trials >= 1, ">= 1"),
     ]
-    for path, ok in checks:
+    for path, ok, bound in checks:
         if not ok:
-            raise ValueError(f"invalid value for config key '{path}'")
-    config.alphabet()  # validates pam_levels
-    config.pdp()  # validates the profile
+            section, key = path.split(".")
+            value = getattr(getattr(config, section), key)
+            raise ValueError(f"{path} must be {bound} (got {value!r})")
+    for path, build in (
+        ("signaling.pam_levels", config.alphabet),
+        ("channel.pdp_delays_us/pdp_powers_db", config.pdp),
+    ):
+        try:
+            build()
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return config
 
 
@@ -235,7 +261,7 @@ def load_config(path: str | None = None) -> ExperimentConfig:
             raise ValueError("config file must contain a mapping at top level")
         for key, value in data.items():
             _assign(config, str(key), value, str(key))
-    return _validate(config)
+    return validate_config(config)
 
 
 def assign_override(config: ExperimentConfig, spec: str) -> ExperimentConfig:
@@ -261,8 +287,3 @@ def assign_override(config: ExperimentConfig, spec: str) -> ExperimentConfig:
         target = getattr(target, part)
     _assign(target, parts[-1], value, dotted.strip())
     return config
-
-
-def validate_config(config: ExperimentConfig) -> ExperimentConfig:
-    """Check every cross-field constraint; raises with the offending key."""
-    return _validate(config)

@@ -114,8 +114,15 @@ class TrialScenario:
         return x, s[0, 0]
 
 
-def build_scenario(config: ExperimentConfig, rng: np.random.Generator) -> TrialScenario:
-    """Draw topology, channels, and the contaminated estimate for one trial."""
+def build_scenario(
+    config: ExperimentConfig, rng: np.random.Generator, sigma_q: float
+) -> TrialScenario:
+    """Draw topology, channels, and the contaminated estimate for one trial.
+
+    ``sigma_q`` is the intrinsic-interference standard deviation, the
+    square root of ``resolve_sigma_q_sq(config)``; experiments resolve it
+    once per run because it does not depend on the trial.
+    """
     topo_cfg = config.topology
     if topo_cfg.explicit_gains is not None:
         topo = topology.explicit_topology(np.asarray(topo_cfg.explicit_gains, dtype=float))
@@ -151,7 +158,7 @@ def build_scenario(config: ExperimentConfig, rng: np.random.Generator) -> TrialS
         h_desired=h_stack[0, 0][:, 0].copy(),
         h_hat=estimate.H_hat[:, 0].copy(),
         sigma_v_sq=sigma_v_sq,
-        sigma_q=float(np.sqrt(resolve_sigma_q_sq(config))),
+        sigma_q=sigma_q,
         alphabet=config.alphabet(),
         rng=rng,
     )
@@ -208,6 +215,17 @@ def reference_weights(scen: TrialScenario, config: ExperimentConfig):
     return w_mf, w_mmse, w_contam
 
 
+def initial_state(config: ExperimentConfig, scen: TrialScenario) -> blind.BlindTrackerState:
+    """Tracker state at the contaminated MF with the configured step and R."""
+    return blind.init_weights(
+        scen.h_hat,
+        mu=config.blind.mu,
+        epsilon=config.blind_epsilon(),
+        p=config.blind.p,
+        R=blind.dispersion_constant(config.alphabet(), config.blind.p),
+    )
+
+
 def _probe_schedule(config: ExperimentConfig, total: int) -> list[int]:
     b = config.blind
     stops = set(range(0, min(b.probe_dense_until, total) + 1, b.probe_dense_every))
@@ -230,12 +248,13 @@ def run_fig3(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     out_dir = out_dir or config.run.out_dir
     total = config.blind.packet_len * config.blind.passes
     schedule = _probe_schedule(config, total)
+    sigma_q = float(np.sqrt(resolve_sigma_q_sq(config)))
     traj_rows = []
     summary_rows = []
     trajectories = []
     for trial in range(config.run.num_trials):
         rng = trial_rng(config.run.master_seed, trial, config.run.num_trials)
-        scen = build_scenario(config, rng)
+        scen = build_scenario(config, rng, sigma_q)
         packet, _ = scen.draw_block(config.blind.packet_len)
         x_probe, s_probe = scen.draw_block(config.blind.probe_symbols)
         w_mf, w_mmse, w_contam = reference_weights(scen, config)
@@ -243,15 +262,8 @@ def run_fig3(config: ExperimentConfig, out_dir: str | None = None) -> dict:
         level_mmse = block_sinr(w_mmse, x_probe, s_probe)
         level_contam = block_sinr(w_contam, x_probe, s_probe)
 
-        state = blind.init_weights(
-            scen.h_hat,
-            mu=config.blind.mu,
-            epsilon=config.blind_epsilon(),
-            p=config.blind.p,
-            R=blind.dispersion_constant(config.alphabet(), config.blind.p),
-        )
         trajectory, _ = blind.run_packet(
-            state,
+            initial_state(config, scen),
             packet,
             config.blind.passes,
             probe=lambda w: block_sinr(w, x_probe, s_probe),
@@ -302,22 +314,16 @@ def run_eye(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     if total < config.eye.num_buckets:
         raise ValueError("eye.updates must provide at least one decision per bucket")
     bounds = np.linspace(0, total, config.eye.num_buckets + 1).astype(int)
+    sigma_q = float(np.sqrt(resolve_sigma_q_sq(config)))
     eye_rows = []
     opening_rows = []
     openings = []
     for trial in range(config.run.num_trials):
         rng = trial_rng(config.run.master_seed, trial, config.run.num_trials)
-        scen = build_scenario(config, rng)
+        scen = build_scenario(config, rng, sigma_q)
         packet, _ = scen.draw_block(config.blind.packet_len)
-        state = blind.init_weights(
-            scen.h_hat,
-            mu=config.blind.mu,
-            epsilon=config.blind_epsilon(),
-            p=config.blind.p,
-            R=blind.dispersion_constant(config.alphabet(), config.blind.p),
-        )
         _, _, decisions = blind.run_packet(
-            state,
+            initial_state(config, scen),
             packet,
             passes,
             normalized=config.blind.normalized,

@@ -1,5 +1,4 @@
-import numpy as np
-import pytest
+import re
 
 from cmtmimo import cli, verify
 
@@ -44,16 +43,6 @@ def test_simulate_writes_csvs(tmp_path, capsys):
     assert "trajectory.csv" in out
 
 
-def test_simulate_is_reproducible(tmp_path):
-    dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-    cli.main(["simulate", *small_args(dir_a)])
-    cli.main(["simulate", *small_args(dir_b)])
-    assert (dir_a / "trajectory.csv").read_bytes() == (
-        dir_b / "trajectory.csv"
-    ).read_bytes()
-    assert (dir_a / "summary.csv").read_bytes() == (dir_b / "summary.csv").read_bytes()
-
-
 def test_seed_changes_output(tmp_path):
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
     cli.main(["simulate", *small_args(dir_a)])
@@ -94,22 +83,38 @@ def test_gaussianity_subcommand(tmp_path, capsys):
 
 
 def test_verify_exit_codes(monkeypatch, capsys):
-    ok = verify.VerifyReport(
-        results=[verify.CheckResult("x", True, "", 0.0)], passed=True
-    )
-    bad = verify.VerifyReport(
-        results=[verify.CheckResult("x", False, "boom", 0.0)], passed=False
-    )
-    monkeypatch.setattr(verify, "run_verify", lambda config: ok)
+    ok = [verify.CheckResult("x", True, "", 0.0)]
+    bad = [verify.CheckResult("x", True, "", 0.0), verify.CheckResult("y", False, "boom", 0.0)]
+    monkeypatch.setattr(verify, "run_verify", lambda seed: ok)
     assert cli.main(["verify"]) == 0
-    monkeypatch.setattr(verify, "run_verify", lambda config: bad)
+    monkeypatch.setattr(verify, "run_verify", lambda seed: bad)
     assert cli.main(["verify"]) == 1
     assert "boom" in capsys.readouterr().out
 
 
-def test_bad_override_raises(tmp_path):
-    with pytest.raises(ValueError):
-        cli.main(["simulate", "--out", str(tmp_path), "--override", "blind.zeta=1"])
+def test_bad_override_raises(tmp_path, capsys):
+    # a config error is one stderr line naming the key (and its bound), exit 2
+    for override, expected in [
+        ("blind.zeta=1", "blind.zeta"),
+        ("blind.mu=3", "blind.mu must be < 1 when blind.normalized is true (got 3.0)"),
+    ]:
+        rc = cli.main(["simulate", "--out", str(tmp_path), "--override", override])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("cmtmimo: error: ") and expected in err
+        assert err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
+def test_divergence_exits_one_without_csv(tmp_path, capsys):
+    extra = ("--override", "blind.mu=3", "--override", "blind.normalized=false")
+    rc = cli.main(["simulate", *small_args(tmp_path, extra)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("cmtmimo: error: blind tracker diverged")
+    assert re.search(r"at iteration \d+", err)
+    assert err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
 
 
 def test_flag_overrides_apply_after_file(tmp_path):

@@ -64,29 +64,6 @@ def test_prototype_filter_rejects_broken_invariants():
         cmt.PrototypeFilter(coefficients=broken, length=broken.size)
 
 
-def test_loopback_reconstruction_and_toggle_necessity():
-    cfg = make_cfg(num_subcarriers=16)
-    proto = cmt.design_prototype(cfg)
-    rng = np.random.default_rng(0)
-    num_frames = 100
-    frames = rng.choice([-1.0, 1.0], size=(16, num_frames))
-    interior = slice(cfg.overlap_factor, num_frames - cfg.overlap_factor)
-    x_on = cmt.cmt_synthesize(frames, cfg, proto)
-    x_off = cmt.cmt_synthesize(frames, cfg, proto, phase_toggle=False)
-    err_on, err_off = [], []
-    for k in range(16):
-        y_on = cmt.cmt_demodulate(x_on, k, cfg, proto, num_symbols=num_frames)
-        err_on.append(y_on.real[interior] - frames[k][interior])
-        y_off = cmt.cmt_demodulate(
-            x_off, k, cfg, proto, phase_toggle=False, num_symbols=num_frames
-        )
-        err_off.append(y_off.real[interior] - frames[k][interior])
-    mse_on = np.mean(np.concatenate(err_on) ** 2)
-    mse_off = np.mean(np.concatenate(err_off) ** 2)
-    assert mse_on < 1e-4
-    assert mse_off > 10.0 * mse_on
-
-
 def test_one_tap_equalizer_inverts_flat_gain():
     cfg = make_cfg(num_subcarriers=8)
     proto = cmt.design_prototype(cfg)
@@ -163,18 +140,6 @@ def test_intrinsic_interference_matches_independence_oracle():
     # construction properties of the vestigial-sideband leakage
     assert abs(var_pred / (cfg.rolloff / 4.0) - 1.0) < 0.05
     assert 2.7 < kurt_pred < 3.0
-
-
-def test_measure_intrinsic_stats_contract():
-    cfg = make_cfg(num_subcarriers=64, overlap=32, rolloff=0.25)
-    proto = cmt.design_prototype(cfg)
-    stats = cmt.measure_intrinsic_stats(
-        cfg, proto, np.random.default_rng(4), num_frames=540, min_samples=25000
-    )
-    assert abs(stats.sigma_q_sq / (cfg.rolloff / 4.0) - 1.0) < 0.1
-    assert abs(stats.kurtosis_imag - 3.0) < 0.3
-    assert stats.real_part_alphabet_error_rate == 0.0
-    assert stats.kurtosis_real_unequalized > 1.0
 
 
 def test_measure_intrinsic_stats_rejects_short_runs():

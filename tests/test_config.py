@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from cmtmimo import config as config_mod
 from cmtmimo.config import assign_override, load_config, validate_config
 
 
@@ -84,7 +83,7 @@ def test_apply_override_rejects_malformed_input():
 def test_normalized_step_must_stay_below_one():
     # the normalized (NLMS) step 2 mu must stay below 2; unnormalized runs are not bound
     cfg = load_config(None)
-    with pytest.raises(ValueError, match="blind.mu"):
+    with pytest.raises(ValueError, match="blind.mu must be < 1 when blind.normalized is true"):
         apply_override(cfg, "blind.mu=1.0")
     cfg = load_config(None)
     apply_override(cfg, "blind.mu=0.999")
@@ -97,28 +96,28 @@ def test_normalized_step_must_stay_below_one():
 def test_validation_rejects_inconsistent_configs():
     cfg = load_config(None)
     cfg.channel.subcarrier_index = 256
-    with pytest.raises(ValueError):
-        config_mod._validate(cfg)
+    with pytest.raises(ValueError, match=r"subcarrier_index must be in .*\[0, 256\) \(got 256\)"):
+        validate_config(cfg)
 
     cfg = load_config(None)
     cfg.pilot.pilot_len = 0
-    with pytest.raises(ValueError):
-        config_mod._validate(cfg)
+    with pytest.raises(ValueError, match="pilot.pilot_len must be >= topology.users_per_cell"):
+        validate_config(cfg)
 
     cfg = load_config(None)
     cfg.blind.mu = -1.0
-    with pytest.raises(ValueError):
-        config_mod._validate(cfg)
+    with pytest.raises(ValueError, match=r"blind.mu must be >= 0 \(got -1.0\)"):
+        validate_config(cfg)
 
     cfg = load_config(None)
     cfg.pilot.estimator = "genie"
-    with pytest.raises(ValueError):
-        config_mod._validate(cfg)
+    with pytest.raises(ValueError, match="pilot.estimator must be 'direct' or 'correlate'"):
+        validate_config(cfg)
 
     cfg = load_config(None)
     cfg.signaling.sigma_q_mode = "guess"
-    with pytest.raises(ValueError):
-        config_mod._validate(cfg)
+    with pytest.raises(ValueError, match="signaling.sigma_q_mode"):
+        validate_config(cfg)
 
 
 def test_pilot_len_must_cover_users(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cmtmimo import harness
+from cmtmimo import cmt, harness
 from cmtmimo.config import load_config
 
 
@@ -61,10 +61,35 @@ def test_resolve_sigma_q_modes():
     assert abs(first / (cfg.cmt.rolloff / 4.0) - 1.0) < 0.2
 
 
+def test_calibrated_sigma_q_is_resolved_once_per_run(tmp_path, monkeypatch):
+    cfg = tiny_config(trials=3)
+    cfg.signaling.sigma_q_mode = "calibrated"
+    cfg.cmt.num_frames = 100
+    resolved = harness.resolve_sigma_q_sq(cfg)
+    calls = []
+    measure = cmt.measure_intrinsic_stats
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return measure(*args, **kwargs)
+
+    monkeypatch.setattr(cmt, "measure_intrinsic_stats", counted)
+    harness.run_fig3(cfg, str(tmp_path / "calibrated"))
+    assert len(calls) == 1
+
+    cfg.signaling.sigma_q_mode = "fixed"
+    cfg.signaling.sigma_q_sq = resolved
+    harness.run_fig3(cfg, str(tmp_path / "fixed"))
+    assert len(calls) == 1
+    assert (tmp_path / "calibrated" / "trajectory.csv").read_bytes() == (
+        tmp_path / "fixed" / "trajectory.csv"
+    ).read_bytes()
+
+
 def test_build_scenario_shapes_and_contamination():
     cfg = tiny_config()
     rng = harness.trial_rng(cfg.run.master_seed, 0, 2)
-    scen = harness.build_scenario(cfg, rng)
+    scen = harness.build_scenario(cfg, rng, 1.0)
     n = cfg.channel.num_antennas
     m = cfg.topology.num_cells
     assert scen.h_stack.shape == (m, m, n, 1)
@@ -84,10 +109,10 @@ def test_build_scenario_estimator_modes_agree_statistically():
     cfg = tiny_config()
     cfg.noise.target_sinr_db = np.inf  # noiseless: modes coincide exactly
     rng_a = harness.trial_rng(1, 0, 1)
-    direct = harness.build_scenario(cfg, rng_a)
+    direct = harness.build_scenario(cfg, rng_a, 1.0)
     cfg.pilot.estimator = "correlate"
     rng_b = harness.trial_rng(1, 0, 1)
-    correlate = harness.build_scenario(cfg, rng_b)
+    correlate = harness.build_scenario(cfg, rng_b, 1.0)
     assert np.allclose(direct.h_hat, correlate.h_hat, rtol=1e-9, atol=1e-12)
 
 

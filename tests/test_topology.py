@@ -16,12 +16,6 @@ def test_build_topology_bounds_and_diagonal():
     assert off.min() >= 0.1 and off.max() <= 0.8
 
 
-def test_build_topology_deterministic():
-    a = topology.build_topology(5, 3, 0.0, 1.0, np.random.default_rng(42))
-    b = topology.build_topology(5, 3, 0.0, 1.0, np.random.default_rng(42))
-    assert np.array_equal(a.cross_gain, b.cross_gain)
-
-
 def test_build_topology_rejects_bad_range():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
