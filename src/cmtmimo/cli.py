@@ -11,9 +11,10 @@ invariant suite:
 Every subcommand accepts --config (YAML), --seed, --trials, --out, and
 repeatable --override key=value pairs applied after the file.
 
-A bad config or a diverging tracker ends the run with one
-``cmtmimo: error: ...`` line on stderr: exit code 2 for the config, 1
-for the divergence.
+A bad config, a config the experiment rejects (for example a CMT loopback
+too short for its sample floor) or a diverging tracker ends the run with
+one ``cmtmimo: error: ...`` line on stderr and no CSV: exit code 2 for
+the config, 1 for the divergence.
 """
 
 from __future__ import annotations
@@ -77,6 +78,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return _run(args.command, config)
+    except ValueError as exc:
+        print(f"cmtmimo: error: {exc}", file=sys.stderr)
+        return 2
     except FloatingPointError as exc:
         print(f"cmtmimo: error: {exc}", file=sys.stderr)
         return 1

@@ -7,8 +7,12 @@ lands entirely in the imaginary part (the intrinsic interference q).  This
 module runs single-antenna loopback only; the array experiments use the
 abstract per-subcarrier model with sigma_q calibrated here.
 
-Synthesis is critically sampled at L samples per symbol period with
-direct-form (FFT) convolution; no polyphase structure.
+Synthesis is critically sampled at L samples per symbol period.  The
+carrier e^{j2 pi k n / L} has period L, so both directions run in the
+standard filter-bank-multicarrier polyphase form (Siohan, Siclet & Lacroix,
+IEEE TSP 2002; Farhang-Boroujeny, IEEE SPM 2011): one L-point IFFT or FFT
+per symbol plus an (overlap_factor + 1)-tap filter along the symbol axis
+for each of the L phases of the prototype.
 """
 
 from __future__ import annotations
@@ -49,6 +53,11 @@ class CmtConfig:
             raise ValueError("rolloff must lie in (0, 1]")
         if self.subcarrier_spacing <= 0.0:
             raise ValueError("subcarrier_spacing must be positive")
+        if self.num_subcarriers * self.overlap_factor % 2:
+            raise ValueError(
+                "num_subcarriers * overlap_factor must be even so the prototype "
+                f"has a center sample (got {self.num_subcarriers} * {self.overlap_factor})"
+            )
 
 
 @dataclass(frozen=True)
@@ -125,12 +134,24 @@ def design_prototype(config: CmtConfig) -> PrototypeFilter:
     return PrototypeFilter(coefficients=g, length=span + 1)
 
 
-def _carrier(config: CmtConfig, k: int, num_samples: int, phase_toggle: bool) -> np.ndarray:
-    n = np.arange(num_samples)
-    c = np.exp(2j * np.pi * k * n / config.num_subcarriers)
-    if phase_toggle:
-        c = c * (1j ** k)
-    return c
+def _toggle(config: CmtConfig, phase_toggle: bool) -> np.ndarray:
+    """Per-subcarrier phase factors i**k (all ones with the toggle off)."""
+    if not phase_toggle:
+        return np.ones(config.num_subcarriers, dtype=complex)
+    return np.array([1, 1j, -1, -1j])[np.arange(config.num_subcarriers) % 4]
+
+
+def _polyphase(coefficients: np.ndarray, config: CmtConfig) -> np.ndarray:
+    """Filter as an (overlap_factor + 1, L) array: row q holds taps qL..qL+L-1.
+
+    Column r is the r-th polyphase component; the final row carries only the
+    last tap, zero-padded.
+    """
+    L = config.num_subcarriers
+    rows = config.overlap_factor + 1
+    padded = np.zeros(rows * L)
+    padded[: coefficients.size] = coefficients
+    return padded.reshape(rows, L)
 
 
 def cmt_synthesize(
@@ -140,6 +161,10 @@ def cmt_synthesize(
     phase_toggle: bool = True,
 ) -> np.ndarray:
     """Modulate real PAM frames onto all L subcarriers.
+
+    Symbol n of every subcarrier goes through one L-point IFFT; sample
+    pL + r of the output is then the r-th polyphase component of the
+    prototype applied along the symbol axis at lag p.
 
     Parameters
     ----------
@@ -158,51 +183,54 @@ def cmt_synthesize(
     if frames.ndim != 2 or frames.shape[0] != L:
         raise ValueError(f"pam_frames must have shape ({L}, num_symbols)")
     num_symbols = frames.shape[1]
-    out_len = (num_symbols + config.overlap_factor) * L
-    out = np.zeros(out_len, dtype=complex)
-    for k in range(L):
-        if not np.any(frames[k]):
-            continue
-        upsampled = np.zeros((num_symbols - 1) * L + 1)
-        upsampled[::L] = frames[k]
-        stream = fftconvolve(upsampled, proto.coefficients)
-        out[: stream.size] += stream * _carrier(config, k, stream.size, phase_toggle)
-    return out
+    # row n: sum_k i**k a_k[n] e^{j2 pi k r / L} for r = 0..L-1
+    spectra = L * np.fft.ifft(frames * _toggle(config, phase_toggle)[:, None], axis=0).T
+    phases = _polyphase(proto.coefficients, config)
+    out = np.zeros((num_symbols + config.overlap_factor, L), dtype=complex)
+    for q, taps in enumerate(phases):
+        out[q : q + num_symbols] += taps * spectra
+    return out.ravel()
 
 
 def cmt_demodulate(
     samples: np.ndarray,
-    subcarrier_index: int,
     config: CmtConfig,
     proto: PrototypeFilter,
-    one_tap_equalizer: complex = 1.0,
     phase_toggle: bool = True,
     num_symbols: int | None = None,
 ) -> np.ndarray:
-    """Demodulate one subcarrier: down-convert, matched-filter, equalize.
+    """Demodulate every subcarrier: down-convert and matched-filter.
 
-    Returns the complex pre-decision sequence y_k(n); the real part is the
-    PAM decision variable and the imaginary part is the intrinsic
-    interference, left to the caller so both can be inspected.
+    The matched filter is applied in polyphase form along the symbol axis,
+    then one L-point FFT per decision instant down-converts all L
+    subcarriers at once.
+
+    Returns
+    -------
+    ndarray, complex, shape (L, num_symbols)
+        Row k is subcarrier k's pre-decision sequence y_k(n); the real part
+        is the PAM decision variable and the imaginary part is the intrinsic
+        interference, left to the caller so both can be inspected.  Samples
+        past the end of ``samples`` count as zero.
     """
-    if not 0 <= subcarrier_index < config.num_subcarriers:
-        raise ValueError(
-            f"subcarrier_index {subcarrier_index} outside [0, {config.num_subcarriers})"
-        )
-    eq = complex(one_tap_equalizer)
-    if not np.isfinite([eq.real, eq.imag]).all() or eq == 0:
-        raise ValueError("one_tap_equalizer must be finite and nonzero")
     samples = np.asarray(samples)
     L = config.num_subcarriers
+    overlap = config.overlap_factor
     if num_symbols is None:
-        num_symbols = samples.size // L - config.overlap_factor
+        num_symbols = samples.size // L - overlap
     if num_symbols < 1:
         raise ValueError("sample stream too short for one symbol")
-    down = samples * np.conj(_carrier(config, subcarrier_index, samples.size, phase_toggle))
-    filtered = fftconvolve(down, proto.coefficients)
-    first = config.overlap_factor * L  # group delay of filter pair
-    idx = first + np.arange(num_symbols) * L
-    return eq * filtered[idx]
+    # decision n reads samples nL .. nL + overlap*L against the reversed prototype
+    blocks = np.zeros(((num_symbols + overlap) * L), dtype=complex)
+    used = min(samples.size, blocks.size)
+    blocks[:used] = samples[:used]
+    blocks = blocks.reshape(num_symbols + overlap, L)
+    phases = _polyphase(proto.coefficients[::-1], config)
+    filtered = np.zeros((num_symbols, L), dtype=complex)
+    for q, taps in enumerate(phases):
+        filtered += taps * blocks[q : q + num_symbols]
+    spectra = np.fft.fft(filtered, axis=1)
+    return spectra.T * np.conj(_toggle(config, phase_toggle))[:, None]
 
 
 def _random_multipath(config: CmtConfig, rng: np.random.Generator) -> np.ndarray:
@@ -250,18 +278,12 @@ def measure_intrinsic_stats(
     x_multipath = fftconvolve(x, _random_multipath(config, rng))[: x.size]
 
     interior = slice(edge, num_frames - edge)
-    q_parts = np.empty((L, interior_per_sub))
-    real_err = 0
-    real_unequalized = np.empty((L, interior_per_sub))
-    for k in range(L):
-        y = cmt_demodulate(x, k, config, proto, num_symbols=num_frames)
-        q_parts[k] = y.imag[interior]
-        real_err += np.count_nonzero(np.sign(y.real[interior]) != frames[k][interior])
-        y_mp = cmt_demodulate(x_multipath, k, config, proto, num_symbols=num_frames)
-        real_unequalized[k] = y_mp.real[interior]
+    y = cmt_demodulate(x, config, proto, num_symbols=num_frames)[:, interior]
+    y_mp = cmt_demodulate(x_multipath, config, proto, num_symbols=num_frames)[:, interior]
+    q = y.imag.ravel()
+    u = y_mp.real.ravel()
+    real_err = np.count_nonzero(np.sign(y.real) != frames[:, interior])
 
-    q = q_parts.ravel()
-    u = real_unequalized.ravel()
     q_var = q.var()
     u_c = u - u.mean()
     return IntrinsicStats(

@@ -123,11 +123,6 @@ class ExperimentConfig:
 
     def cmt_config(self) -> CmtConfig:
         ch = self.channel
-        if ch.num_subcarriers & (ch.num_subcarriers - 1) != 0:
-            raise ValueError(
-                "channel.num_subcarriers must be a power of two when the CMT "
-                "transmultiplexer is engaged"
-            )
         return CmtConfig(
             num_subcarriers=ch.num_subcarriers,
             subcarrier_spacing=ch.bandwidth_hz / ch.num_subcarriers,

@@ -70,16 +70,19 @@ def test_eye_subcommand(tmp_path, capsys):
 
 
 def test_gaussianity_subcommand(tmp_path, capsys):
-    extra = (
-        "--override",
-        "channel.num_subcarriers=64",
-        "--override",
-        "cmt.num_frames=1700",
-    )
-    rc = cli.main(["gaussianity", *small_args(tmp_path, extra)])
-    assert rc == 0
-    assert (tmp_path / "stats.csv").exists()
-    assert "kurt(q)" in capsys.readouterr().out
+    # any number of subcarriers works, not only powers of two
+    for num_subcarriers, num_frames in [(64, 1700), (200, 600)]:
+        out_dir = tmp_path / str(num_subcarriers)
+        extra = (
+            "--override",
+            f"channel.num_subcarriers={num_subcarriers}",
+            "--override",
+            f"cmt.num_frames={num_frames}",
+        )
+        rc = cli.main(["gaussianity", *small_args(out_dir, extra)])
+        assert rc == 0
+        assert (out_dir / "stats.csv").exists()
+        assert "kurt(q)" in capsys.readouterr().out
 
 
 def test_verify_exit_codes(monkeypatch, capsys):
@@ -93,12 +96,28 @@ def test_verify_exit_codes(monkeypatch, capsys):
 
 
 def test_bad_override_raises(tmp_path, capsys):
-    # a config error is one stderr line naming the key (and its bound), exit 2
-    for override, expected in [
-        ("blind.zeta=1", "blind.zeta"),
-        ("blind.mu=3", "blind.mu must be < 1 when blind.normalized is true (got 3.0)"),
+    # a config error is one stderr line naming the key (and its bound), exit 2;
+    # so is a config the CMT loopback rejects once the experiment runs
+    for command, expected in [
+        ("simulate --override blind.zeta=1", "blind.zeta"),
+        (
+            "simulate --override blind.mu=3",
+            "blind.mu must be < 1 when blind.normalized is true (got 3.0)",
+        ),
+        # 416 interior symbols x 100 subcarriers is below the sample floor
+        (
+            "gaussianity --override channel.num_subcarriers=100"
+            " --override channel.subcarrier_index=4",
+            "yields 41600 interior symbols; need at least 100000",
+        ),
+        # 101 * 33 is odd: the prototype would have no center sample
+        (
+            "gaussianity --override channel.num_subcarriers=101"
+            " --override cmt.overlap_factor=33 --override cmt.num_frames=100",
+            "num_subcarriers * overlap_factor must be even",
+        ),
     ]:
-        rc = cli.main(["simulate", "--out", str(tmp_path), "--override", override])
+        rc = cli.main([*command.split(), "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("cmtmimo: error: ") and expected in err

@@ -1,7 +1,37 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cmtmimo import cmt
+
+
+def _carrier(cfg, k, num_samples, phase_toggle):
+    # k * n is reduced mod L in integers so the phase stays exact for long streams
+    n = np.arange(num_samples)
+    c = np.exp(2j * np.pi * (k * n % cfg.num_subcarriers) / cfg.num_subcarriers)
+    return c * (1j**k) if phase_toggle else c
+
+
+def direct_synthesize(frames, cfg, proto, phase_toggle=True):
+    """Direct-form oracle: upsample, filter and up-convert each subcarrier."""
+    L = cfg.num_subcarriers
+    num_symbols = frames.shape[1]
+    out = np.zeros((num_symbols + cfg.overlap_factor) * L, dtype=complex)
+    for k in range(L):
+        upsampled = np.zeros((num_symbols - 1) * L + 1)
+        upsampled[::L] = frames[k]
+        stream = np.convolve(upsampled, proto.coefficients)
+        out[: stream.size] += stream * _carrier(cfg, k, stream.size, phase_toggle)
+    return out
+
+
+def direct_demodulate(samples, k, cfg, proto, num_symbols, phase_toggle=True):
+    """Direct-form oracle: down-convert subcarrier k, matched-filter, sample."""
+    L = cfg.num_subcarriers
+    down = samples * np.conj(_carrier(cfg, k, samples.size, phase_toggle))
+    filtered = np.convolve(down, proto.coefficients)
+    return filtered[cfg.overlap_factor * L + np.arange(num_symbols) * L]
 
 
 def make_cfg(num_subcarriers=16, overlap=32, rolloff=0.25):
@@ -50,6 +80,10 @@ def test_config_validation():
         make_cfg(overlap=2)
     with pytest.raises(ValueError):
         make_cfg(num_subcarriers=1)
+    # an odd span leaves the prototype without a center sample
+    with pytest.raises(ValueError, match="num_subcarriers \\* overlap_factor must be even"):
+        make_cfg(num_subcarriers=5, overlap=5)
+    make_cfg(num_subcarriers=5, overlap=4)
 
 
 def test_prototype_filter_rejects_broken_invariants():
@@ -73,9 +107,7 @@ def test_one_tap_equalizer_inverts_flat_gain():
     x = cmt.cmt_synthesize(frames, cfg, proto)
     gain = 0.8 * np.exp(0.3j)
     k = 3
-    y = cmt.cmt_demodulate(
-        x * gain, k, cfg, proto, one_tap_equalizer=1.0 / gain, num_symbols=num_frames
-    )
+    y = cmt.cmt_demodulate(x * gain, cfg, proto, num_symbols=num_frames)[k] / gain
     interior = slice(cfg.overlap_factor, num_frames - cfg.overlap_factor)
     assert np.mean((y.real[interior] - frames[k][interior]) ** 2) < 1e-4
 
@@ -111,8 +143,8 @@ def _leakage_coefficients(cfg, proto, target):
             frames = np.zeros((cfg.num_subcarriers, num_frames))
             frames[source, pos] = 1.0
             x = cmt.cmt_synthesize(frames, cfg, proto)
-            y = cmt.cmt_demodulate(x, target, cfg, proto, num_symbols=num_frames)
-            coeffs.append(y.imag[center])
+            y = cmt.cmt_demodulate(x, cfg, proto, num_symbols=num_frames)
+            coeffs.append(y.imag[target, center])
     return np.asarray(coeffs)
 
 
@@ -130,7 +162,7 @@ def test_intrinsic_interference_matches_independence_oracle():
     num_frames = 10100
     frames = rng.choice([-1.0, 1.0], size=(16, num_frames))
     x = cmt.cmt_synthesize(frames, cfg, proto)
-    y = cmt.cmt_demodulate(x, 8, cfg, proto, num_symbols=num_frames)
+    y = cmt.cmt_demodulate(x, cfg, proto, num_symbols=num_frames)[8]
     interior = slice(cfg.overlap_factor * 2, num_frames - cfg.overlap_factor * 2)
     q = y.imag[interior]
 
@@ -149,3 +181,42 @@ def test_measure_intrinsic_stats_rejects_short_runs():
         cmt.measure_intrinsic_stats(
             cfg, proto, np.random.default_rng(0), num_frames=80, min_samples=100_000
         )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_subcarriers=st.integers(2, 40),
+    overlap=st.integers(4, 12),
+    num_symbols=st.integers(1, 12),
+    phase_toggle=st.booleans(),
+    silent_fraction=st.sampled_from([0.0, 0.5, 1.0]),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_polyphase_matches_direct_form(
+    seed, num_subcarriers, overlap, num_symbols, phase_toggle, silent_fraction, scale
+):
+    assume(num_subcarriers * overlap % 2 == 0)
+    cfg = make_cfg(num_subcarriers=num_subcarriers, overlap=overlap)
+    proto = cmt.design_prototype(cfg)
+    rng = np.random.default_rng(seed)
+    frames = scale * rng.standard_normal((num_subcarriers, num_symbols))
+    frames[rng.random(num_subcarriers) < silent_fraction] = 0.0
+    tol = 1e-12 * scale
+
+    x = cmt.cmt_synthesize(frames, cfg, proto, phase_toggle=phase_toggle)
+    x_direct = direct_synthesize(frames, cfg, proto, phase_toggle=phase_toggle)
+    assert x.shape == x_direct.shape
+    assert np.max(np.abs(x - x_direct)) <= tol
+
+    # analysis of an arbitrary complex stream, not only a synthesized one
+    samples = x_direct + scale * (
+        rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
+    )
+    y = cmt.cmt_demodulate(samples, cfg, proto, phase_toggle=phase_toggle)
+    assert y.shape == (num_subcarriers, num_symbols)
+    for k in range(num_subcarriers):
+        y_direct = direct_demodulate(
+            samples, k, cfg, proto, num_symbols, phase_toggle=phase_toggle
+        )
+        assert np.max(np.abs(y[k] - y_direct)) <= tol
