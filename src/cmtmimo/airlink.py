@@ -79,8 +79,11 @@ def dft_pilot_book(num_users: int, pilot_len: int) -> PilotBook:
 
 def _complex_noise(shape, var: float, rng: np.random.Generator) -> np.ndarray:
     """Circularly-symmetric complex Gaussian, total variance ``var`` per entry."""
-    draw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return np.sqrt(var / 2.0) * draw
+    draw = np.empty(shape, dtype=complex)
+    draw.real = rng.standard_normal(shape)
+    draw.imag = rng.standard_normal(shape)
+    draw *= np.sqrt(var / 2.0)
+    return draw
 
 
 def uplink_batch(
@@ -106,7 +109,8 @@ def uplink_batch(
     symbols = np.asarray(symbols, dtype=complex)
     scaled = topology.gains_at(receiving_bs)[:, :, None] * symbols
     x = np.einsum("mnk,mkt->tn", h_stack[:, receiving_bs], scaled)
-    return x + _complex_noise(x.shape, noise_var, rng)
+    x += _complex_noise(x.shape, noise_var, rng)
+    return x
 
 
 def estimate_channels_direct(

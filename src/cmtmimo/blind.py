@@ -10,8 +10,11 @@ where R is the dispersion constant of the PAM alphabet.  The decision
 variable is the real part of the combiner output (CMT decisions are real
 PAM), and the update is the instantaneous gradient of ((|y|^p) - R)^2 at
 p = 1; the ``p`` field only changes R.  The recursion is strictly
-sequential; ``run_packet`` runs the hot loop in ``kernels.track_segment``,
-whose one-update reference is ``blind_step``.
+sequential in time but independent across trials, so ``run_packet``
+tracks one trial or a (T, N) batch of trials in one loop,
+``kernels.track_segment``, whose one-update reference is ``blind_step``.
+It hands back copies of the weights at requested iterations; the caller
+scores them (the experiments use ``harness.block_sinr``).
 """
 
 from __future__ import annotations
@@ -149,102 +152,102 @@ def run_packet(
     state: BlindTrackerState,
     packet: np.ndarray,
     passes: int,
-    probe=None,
-    probe_at=None,
+    snapshots=(),
     normalized: bool = True,
     collect_decisions: bool = False,
+    first_trial: int = 0,
 ):
     """Track over a packet reused cyclically for ``passes`` passes.
 
     Parameters
     ----------
     state : BlindTrackerState
-        Mutated in place; ``state.iteration`` advances by passes * P.
-    packet : ndarray, shape (P, N)
-        Received vectors (the hidden truth stays with the caller).
+        Mutated in place; ``state.iteration`` advances by passes * P.  Its
+        weights are one trial, shape (N,), or a batch of independent
+        trials, shape (T, N), tracked together.
+    packet : ndarray, shape (P,) + state.w.shape
+        Received vectors: (P, N) for one trial, (P, T, N) for a batch (the
+        hidden truth stays with the caller).
     passes : int
         Number of cyclic passes (>= 1).
-    probe : callable(w) -> float, optional
-        Frozen-weight SINR probe on held-out data.
-    probe_at : int or sequence of int, optional
-        Iterations (update counts relative to this call) at which to call
-        the probe.  An int c means every c updates: c, 2c, ..., plus the
-        final iteration.  Ignored when ``probe`` is None.
+    snapshots : sequence of int
+        Strictly increasing iterations (update counts relative to this
+        call, 0 for the starting weights) at which to copy the weights.
     collect_decisions : bool
-        Also return the full pre-update decision sequence (one float per
-        update), used by the eye-pattern experiment.
+        Also return the full pre-update decision sequence, used by the
+        eye-pattern experiment.
+    first_trial : int
+        Trial number of the first row, used to name a diverging trial.
 
     Returns
     -------
-    trajectory : list of (iteration, sinr_db)
-    state : BlindTrackerState
-    decisions : ndarray, only when ``collect_decisions``
+    weights : ndarray, shape (len(snapshots),) + state.w.shape
+        The weights after each snapshot iteration.
+    decisions : ndarray, shape (passes * P,) + state.w.shape[:-1], or None
+        One decision per update and trial when ``collect_decisions``.
 
     Raises
     ------
     FloatingPointError
-        When the weights turn non-finite; the message names the iteration
-        reached.  Checked after every kernel segment, before any probe.
-        Kernel segments and probes run with numpy's overflow and invalid
-        warnings off, so this error is the one signal of a divergence.
+        When the weights turn non-finite; the message names the first
+        trial affected and the iteration reached.  Checked after every
+        kernel segment, so no snapshot holds non-finite weights.  Kernel
+        segments run with numpy's overflow and invalid warnings off, so
+        this error is the one signal of a divergence.
     """
+    shape = state.w.shape
     packet = np.ascontiguousarray(packet, dtype=complex)
-    if packet.ndim != 2 or packet.shape[0] == 0:
-        raise ValueError("packet must be a nonempty (P, N) array")
-    if packet.shape[1] != state.w.size:
-        raise ValueError("packet width disagrees with weights")
+    if packet.ndim != len(shape) + 1 or packet.shape[0] == 0:
+        raise ValueError(f"packet must be a nonempty (P,) + {shape} array")
+    if packet.shape[1:] != shape:
+        raise ValueError("packet shape disagrees with weights")
     if not np.all(np.isfinite(packet)):
         raise ValueError("packet contains non-finite entries")
     if passes < 1:
         raise ValueError("passes must be >= 1")
     total = passes * packet.shape[0]
+    stops = [int(i) for i in snapshots]
+    if any(b <= a for a, b in zip(stops, stops[1:])):
+        raise ValueError("snapshot iterations must be strictly increasing")
+    if stops and (stops[0] < 0 or stops[-1] > total):
+        raise ValueError(f"snapshot iterations must lie in [0, {total}]")
 
-    if probe is None:
-        stops = []
-    elif probe_at is None:
-        stops = [total]
-    elif np.isscalar(probe_at):
-        cadence = int(probe_at)
-        if cadence < 1:
-            raise ValueError("probe cadence must be >= 1")
-        stops = list(range(cadence, total + 1, cadence))
-        if not stops or stops[-1] != total:
-            stops.append(total)
-    else:
-        stops = sorted(set(int(i) for i in probe_at))
-        if stops and (stops[0] < 0 or stops[-1] > total):
-            raise ValueError(f"probe iterations must lie in [0, {total}]")
-
-    norms = np.ascontiguousarray(np.einsum("ij,ij->i", packet, packet.conj()).real)
-    decisions = np.empty(total) if collect_decisions else None
-    trajectory = []
+    # the kernel works on a (T, N) batch; one trial is a batch of one
+    w = state.w.reshape(-1, shape[-1])
+    batch = packet.reshape(packet.shape[0], *w.shape)
+    batch_re = batch.view(np.float64)
+    norms = np.einsum("ptn,ptn->pt", batch_re, batch_re)
+    weights = np.empty((len(stops),) + w.shape, dtype=complex)
+    decisions = np.empty((total, w.shape[0])) if collect_decisions else None
     pos = 0
 
     def advance(stop: int) -> None:
         nonlocal pos
         seg = decisions[pos:stop] if collect_decisions else None
         kernels.track_segment(
-            state.w, packet, norms, pos, stop - pos,
+            w, batch, norms, pos, stop - pos,
             state.mu, state.epsilon, state.R, normalized, seg,
         )
         state.iteration += stop - pos
         pos = stop
-        if not np.all(np.isfinite(state.w)):
+        finite = np.isfinite(w).all(axis=1)
+        if not finite.all():
+            trial = first_trial + int(np.argmin(finite))
             raise FloatingPointError(
-                f"blind tracker diverged: weights are non-finite at iteration "
-                f"{state.iteration} (mu={state.mu}, normalized={normalized})"
+                f"blind tracker diverged: weights of trial {trial} are non-finite "
+                f"at iteration {state.iteration} (mu={state.mu}, normalized={normalized})"
             )
 
     # overflow on the way to divergence is reported once, by the finite-weights
-    # check after each segment, not as numpy warnings from the kernel or probes
+    # check after each segment, not as numpy warnings from the kernel
     with np.errstate(over="ignore", invalid="ignore"):
-        for stop in stops:
+        for j, stop in enumerate(stops):
             if stop > pos:
                 advance(stop)
-            trajectory.append((state.iteration, float(probe(state.w))))
+            weights[j] = w
         if pos < total:
             advance(total)
 
     if collect_decisions:
-        return trajectory, state, decisions
-    return trajectory, state
+        decisions = decisions.reshape((total,) + shape[:-1])
+    return weights.reshape((len(stops),) + shape), decisions

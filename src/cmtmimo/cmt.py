@@ -236,7 +236,7 @@ def cmt_demodulate(
 def _random_multipath(config: CmtConfig, rng: np.random.Generator) -> np.ndarray:
     """Short random complex FIR used for the unequalized-statistics pass."""
     L = config.num_subcarriers
-    num_taps = 6
+    num_taps = min(6, L)  # distinct delays 1..L-1 after the tap at 0
     delays = np.concatenate(([0], np.sort(rng.choice(np.arange(1, L), size=num_taps - 1, replace=False))))
     powers = np.exp(-delays / (L / 2.0))
     powers /= powers.sum()

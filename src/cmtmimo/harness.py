@@ -215,10 +215,13 @@ def reference_weights(scen: TrialScenario, config: ExperimentConfig):
     return w_mf, w_mmse, w_contam
 
 
-def initial_state(config: ExperimentConfig, scen: TrialScenario) -> blind.BlindTrackerState:
-    """Tracker state at the contaminated MF with the configured step and R."""
-    return blind.init_weights(
-        scen.h_hat,
+def initial_state(
+    config: ExperimentConfig, scens: list[TrialScenario]
+) -> blind.BlindTrackerState:
+    """Batched tracker state: row t starts at trial t's contaminated MF,
+    with the configured step and R."""
+    return blind.BlindTrackerState(
+        w=np.stack([blind.init_weights(scen.h_hat).w for scen in scens]),
         mu=config.blind.mu,
         epsilon=config.blind_epsilon(),
         p=config.blind.p,
@@ -235,13 +238,66 @@ def _probe_schedule(config: ExperimentConfig, total: int) -> list[int]:
     return sorted(stops)
 
 
+# Packet-stack bytes tracked as one batch: 20 trials of the default
+# 1000 x 128 complex packet.  Wider batches add memory, not speed.
+GROUP_BYTES = 40 * 2**20
+
+
+def _trial_groups(config: ExperimentConfig) -> list[range]:
+    """Consecutive trial ranges whose packet stacks fit in ``GROUP_BYTES``."""
+    trial_bytes = config.blind.packet_len * config.channel.num_antennas * 16
+    width = max(1, GROUP_BYTES // trial_bytes)
+    num_trials = config.run.num_trials
+    return [range(lo, min(lo + width, num_trials)) for lo in range(0, num_trials, width)]
+
+
+def _track_group(
+    config: ExperimentConfig,
+    trials: range,
+    sigma_q: float,
+    passes: int,
+    snapshots=(),
+    collect_decisions: bool = False,
+) -> tuple[list[TrialScenario], np.ndarray, np.ndarray | None]:
+    """Assemble a group of trials, then track them as one batch.
+
+    Each trial's scenario and packet come from its own generator, which is
+    left right after the packet: the trial's probe block comes from there.
+    The (P, T, N) packet stack lives only while the group is tracked.
+    Returns the scenarios plus the weight snapshots and decisions of
+    ``blind.run_packet``.
+    """
+    packet_len = config.blind.packet_len
+    packets = np.empty((packet_len, len(trials), config.channel.num_antennas), dtype=complex)
+    scens = []
+    for t, trial in enumerate(trials):
+        rng = trial_rng(config.run.master_seed, trial, config.run.num_trials)
+        scen = build_scenario(config, rng, sigma_q)
+        x, _ = scen.draw_block(packet_len)
+        packets[:, t] = x
+        scens.append(scen)
+    weights, decisions = blind.run_packet(
+        initial_state(config, scens),
+        packets,
+        passes,
+        normalized=config.blind.normalized,
+        snapshots=snapshots,
+        collect_decisions=collect_decisions,
+        first_trial=trials[0],
+    )
+    return scens, weights, decisions
+
+
 def run_fig3(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     """SINR-trajectory experiment; writes trajectory.csv and summary.csv.
 
-    Per trial: assemble the scenario, measure the three reference levels
-    on a held-out block, track blind weights over a cyclically reused
-    packet with SINR probes on the same block, and record the crossing of
-    the MF-perfect level plus the final gap to MMSE.
+    Trials run in groups of ``_trial_groups``, each in three stages:
+    assemble every trial's scenario and packet; track the whole group over
+    its cyclically reused packets, keeping the weights at every point of
+    the probe schedule; then, one trial at a time, draw its held-out
+    block, measure the three reference levels and the SINR of each kept
+    weight vector on it, and record the crossing of the MF-perfect level
+    plus the final gap to MMSE.  Only one probe block is alive at a time.
 
     Returns the output paths and the per-trial trajectories.
     """
@@ -252,40 +308,36 @@ def run_fig3(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     traj_rows = []
     summary_rows = []
     trajectories = []
-    for trial in range(config.run.num_trials):
-        rng = trial_rng(config.run.master_seed, trial, config.run.num_trials)
-        scen = build_scenario(config, rng, sigma_q)
-        packet, _ = scen.draw_block(config.blind.packet_len)
-        x_probe, s_probe = scen.draw_block(config.blind.probe_symbols)
-        w_mf, w_mmse, w_contam = reference_weights(scen, config)
-        level_mf = block_sinr(w_mf, x_probe, s_probe)
-        level_mmse = block_sinr(w_mmse, x_probe, s_probe)
-        level_contam = block_sinr(w_contam, x_probe, s_probe)
-
-        trajectory, _ = blind.run_packet(
-            initial_state(config, scen),
-            packet,
-            config.blind.passes,
-            probe=lambda w: block_sinr(w, x_probe, s_probe),
-            probe_at=schedule,
-            normalized=config.blind.normalized,
+    for trials in _trial_groups(config):
+        scens, weights, _ = _track_group(
+            config, trials, sigma_q, config.blind.passes, snapshots=schedule
         )
-        trajectories.append(
-            {
-                "trial": trial,
-                "trajectory": trajectory,
-                "mf": level_mf,
-                "mmse": level_mmse,
-                "contam": level_contam,
-            }
-        )
-        for iteration, sinr in trajectory:
-            traj_rows.append(
-                (trial, iteration, sinr, level_mf, level_mmse, level_contam)
+        for t, (trial, scen) in enumerate(zip(trials, scens)):
+            x_probe, s_probe = scen.draw_block(config.blind.probe_symbols)
+            w_mf, w_mmse, w_contam = reference_weights(scen, config)
+            level_mf = block_sinr(w_mf, x_probe, s_probe)
+            level_mmse = block_sinr(w_mmse, x_probe, s_probe)
+            level_contam = block_sinr(w_contam, x_probe, s_probe)
+            trajectory = [
+                (iteration, block_sinr(weights[j, t], x_probe, s_probe))
+                for j, iteration in enumerate(schedule)
+            ]
+            trajectories.append(
+                {
+                    "trial": trial,
+                    "trajectory": trajectory,
+                    "mf": level_mf,
+                    "mmse": level_mmse,
+                    "contam": level_contam,
+                }
             )
-        crossing = next((it for it, v in trajectory if v >= level_mf), -1)
-        final = trajectory[-1][1]
-        summary_rows.append((trial, crossing, final, level_mmse - final))
+            for iteration, sinr in trajectory:
+                traj_rows.append(
+                    (trial, iteration, sinr, level_mf, level_mmse, level_contam)
+                )
+            crossing = next((it for it, v in trajectory if v >= level_mf), -1)
+            final = trajectory[-1][1]
+            summary_rows.append((trial, crossing, final, level_mmse - final))
 
     traj_path = os.path.join(out_dir, "trajectory.csv")
     summary_path = os.path.join(out_dir, "summary.csv")
@@ -301,12 +353,12 @@ def run_fig3(config: ExperimentConfig, out_dir: str | None = None) -> dict:
 def run_eye(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     """Eye-pattern experiment; writes eye.csv and eye_opening.csv.
 
-    Pre-decision outputs s_hat are collected during adaptation and split
-    into equal iteration buckets (labeled by their start iteration).  The
-    per-bucket eye opening is min |s_hat| over all decisions in the bucket
-    (the closest approach to the decision threshold, as read off a classic
-    eye diagram); eye.csv logs up to ``eye.samples_per_bucket`` samples
-    per bucket for plotting.
+    Pre-decision outputs s_hat are collected during adaptation, for a
+    group of trials at a time, and split into equal iteration buckets
+    (labeled by their start iteration).  The per-bucket eye opening is
+    min |s_hat| over all decisions in the bucket (the closest approach to
+    the decision threshold, as read off a classic eye diagram); eye.csv
+    logs up to ``eye.samples_per_bucket`` samples per bucket for plotting.
     """
     out_dir = out_dir or config.run.out_dir
     passes = -(-config.eye.updates // config.blind.packet_len)
@@ -315,31 +367,27 @@ def run_eye(config: ExperimentConfig, out_dir: str | None = None) -> dict:
         raise ValueError("eye.updates must provide at least one decision per bucket")
     bounds = np.linspace(0, total, config.eye.num_buckets + 1).astype(int)
     sigma_q = float(np.sqrt(resolve_sigma_q_sq(config)))
-    eye_rows = []
-    opening_rows = []
-    openings = []
-    for trial in range(config.run.num_trials):
-        rng = trial_rng(config.run.master_seed, trial, config.run.num_trials)
-        scen = build_scenario(config, rng, sigma_q)
-        packet, _ = scen.draw_block(config.blind.packet_len)
-        _, _, decisions = blind.run_packet(
-            initial_state(config, scen),
-            packet,
-            passes,
-            normalized=config.blind.normalized,
-            collect_decisions=True,
-        )
-        per_trial = []
-        for b in range(config.eye.num_buckets):
-            lo, hi = bounds[b], bounds[b + 1]
-            bucket = decisions[lo:hi]
-            opening = float(np.min(np.abs(bucket)))
-            per_trial.append(opening)
-            opening_rows.append((trial, lo, opening))
-            for v in bucket[: config.eye.samples_per_bucket]:
-                eye_rows.append((lo, v))
-        openings.append(per_trial)
+    num_trials = config.run.num_trials
+    decisions = np.empty((num_trials, total))
+    for trials in _trial_groups(config):
+        _, _, group = _track_group(config, trials, sigma_q, passes, collect_decisions=True)
+        decisions[trials.start : trials.stop] = group.T
+    openings = np.minimum.reduceat(np.abs(decisions), bounds[:-1], axis=1)
 
+    spb = config.eye.samples_per_bucket
+    starts = bounds[:-1].tolist()
+    ends = [min(lo + spb, hi) for lo, hi in zip(starts, bounds[1:].tolist())]
+    eye_rows = (
+        (lo, v)
+        for row in decisions
+        for lo, end in zip(starts, ends)
+        for v in row[lo:end].tolist()
+    )
+    opening_rows = (
+        (trial, lo, opening)
+        for trial in range(num_trials)
+        for lo, opening in zip(starts, openings[trial].tolist())
+    )
     eye_path = os.path.join(out_dir, "eye.csv")
     opening_path = os.path.join(out_dir, "eye_opening.csv")
     _write_csv(eye_path, EYE_HEADER, eye_rows)
@@ -347,7 +395,7 @@ def run_eye(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     return {
         "eye_csv": eye_path,
         "eye_opening_csv": opening_path,
-        "openings": np.asarray(openings),
+        "openings": openings,
     }
 
 

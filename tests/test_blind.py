@@ -115,25 +115,40 @@ def test_tracker_state_validation():
 
 
 def test_run_packet_probe_every_iteration():
+    # a snapshot after every update equals stepping one update per call
     rng = np.random.default_rng(3)
     packet = rng.standard_normal((25, 4)) + 1j * rng.standard_normal((25, 4))
-    state = blind.init_weights(rng.standard_normal(4) + 1j * rng.standard_normal(4))
-    trajectory, state = blind.run_packet(
-        state, packet, passes=1, probe=lambda w: float(np.linalg.norm(w)), probe_at=1
-    )
-    assert len(trajectory) == 25
-    assert [it for it, _ in trajectory] == list(range(1, 26))
+    h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    state = blind.init_weights(h)
+    weights, decisions = blind.run_packet(state, packet, passes=1, snapshots=range(1, 26))
+    assert weights.shape == (25, 4)
+    assert decisions is None
     assert state.iteration == 25
+    assert np.array_equal(weights[-1], state.w)
+    step = blind.init_weights(h)
+    for i in range(25):
+        blind.run_packet(step, packet[i : i + 1], passes=1)
+        assert np.array_equal(weights[i], step.w)
 
 
 def test_run_packet_cadence_and_final_probe():
+    # snapshots are copies at their iterations; the run still ends at passes * P
     rng = np.random.default_rng(4)
     packet = rng.standard_normal((10, 4)) + 1j * rng.standard_normal((10, 4))
-    state = blind.init_weights(rng.standard_normal(4) + 1j * rng.standard_normal(4))
-    trajectory, _ = blind.run_packet(
-        state, packet, passes=3, probe=lambda w: 0.0, probe_at=7
-    )
-    assert [it for it, _ in trajectory] == [7, 14, 21, 28, 30]
+    h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    state = blind.init_weights(h)
+    weights, _ = blind.run_packet(state, packet, passes=3, snapshots=[7, 14, 21, 28])
+    assert weights.shape == (4, 4)
+    assert state.iteration == 30
+    for stop, w in zip([7, 14, 21, 28], weights):
+        ref = blind.init_weights(h)
+        full, rest = divmod(stop, 10)
+        if full:
+            blind.run_packet(ref, packet, passes=full)
+        if rest:
+            blind.run_packet(ref, packet[:rest], passes=1)
+        np.testing.assert_allclose(w, ref.w, rtol=1e-12, atol=0.0)
+    assert not np.array_equal(weights[-1], state.w)
 
 
 def test_run_packet_explicit_probe_iterations_with_zero():
@@ -142,19 +157,12 @@ def test_run_packet_explicit_probe_iterations_with_zero():
     h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     state = blind.init_weights(h)
     w0 = state.w.copy()
-    seen = []
-
-    def probe(w):
-        seen.append(w.copy())
-        return 0.0
-
-    trajectory, _ = blind.run_packet(
-        state, packet, passes=1, probe=probe, probe_at=[0, 5, 10]
-    )
-    assert [it for it, _ in trajectory] == [0, 5, 10]
-    assert np.array_equal(seen[0], w0)  # probed before any update
-    with pytest.raises(ValueError):
-        blind.run_packet(state, packet, passes=1, probe=probe, probe_at=[4, 99])
+    weights, _ = blind.run_packet(state, packet, passes=1, snapshots=[0, 5, 10])
+    assert np.array_equal(weights[0], w0)  # taken before any update
+    assert np.array_equal(weights[2], state.w)
+    for bad in ([4, 99], [-1, 4], [5, 5], [6, 2]):
+        with pytest.raises(ValueError):
+            blind.run_packet(state, packet, passes=1, snapshots=bad)
 
 
 def test_run_packet_frozen_tracker_with_zero_mu():
@@ -163,13 +171,34 @@ def test_run_packet_frozen_tracker_with_zero_mu():
     h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     state = blind.init_weights(h, mu=0.0)
     w0 = state.w.copy()
-    trajectory, state = blind.run_packet(
-        state, packet, passes=2, probe=lambda w: float(np.linalg.norm(w)), probe_at=10
-    )
+    weights, _ = blind.run_packet(state, packet, passes=2, snapshots=[10, 20, 30, 40])
     assert np.array_equal(state.w, w0)
     assert state.iteration == 40
-    values = [v for _, v in trajectory]
-    assert all(v == values[0] for v in values)
+    assert all(np.array_equal(w, w0) for w in weights)
+
+
+def test_run_packet_batch_rows_match_single_trials():
+    # a (T, N) batch tracks each row exactly as a run of that trial alone
+    rng = np.random.default_rng(11)
+    trials, n = 3, 6
+    packets = rng.standard_normal((12, trials, n)) + 1j * rng.standard_normal((12, trials, n))
+    hs = rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n))
+    batch = blind.BlindTrackerState(
+        w=np.stack([blind.init_weights(h).w for h in hs]), mu=blind.DEFAULT_MU, epsilon=1e-12 * n
+    )
+    weights, decisions = blind.run_packet(
+        batch, packets, passes=2, snapshots=[0, 9, 24], collect_decisions=True
+    )
+    assert weights.shape == (3, trials, n)
+    assert decisions.shape == (24, trials)
+    for t in range(trials):
+        one = blind.init_weights(hs[t])
+        w_one, d_one = blind.run_packet(
+            one, packets[:, t], passes=2, snapshots=[0, 9, 24], collect_decisions=True
+        )
+        assert np.array_equal(weights[:, t], w_one)
+        assert np.array_equal(decisions[:, t], d_one)
+        assert np.array_equal(batch.w[t], one.w)
 
 
 def test_run_packet_state_continuity_across_calls():
@@ -191,7 +220,8 @@ def test_run_packet_decisions_match_reference_steps():
     h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
 
     fast = blind.init_weights(h, mu=0.04)
-    _, fast, decisions = blind.run_packet(fast, packet, passes=3, collect_decisions=True)
+    _, decisions = blind.run_packet(fast, packet, passes=3, collect_decisions=True)
+    assert decisions.shape == (45,)
 
     slow = blind.init_weights(h, mu=0.04)
     expected = []
@@ -238,18 +268,19 @@ def test_descent_on_stationary_mixture():
 
 
 def test_run_packet_raises_on_divergence():
-    # an unnormalized step this large overflows the weights; the run must
-    # stop with the iteration reached instead of probing non-finite weights
+    # an unnormalized step this large overflows the weights of one trial;
+    # the run must stop naming that trial and the iteration reached
     rng = np.random.default_rng(10)
     n = 16
-    packet = rng.standard_normal((50, n)) + 1j * rng.standard_normal((50, n))
-    state = blind.init_weights(packet[0], mu=3.0)
-    probed = []
-    with pytest.raises(FloatingPointError, match=r"iteration \d+"):
+    packet = rng.standard_normal((50, 3, n)) + 1j * rng.standard_normal((50, 3, n))
+    packet[:, 0] *= 1e-3
+    packet[:, 2] *= 1e-3
+    w = np.stack([blind.init_weights(packet[0, t]).w for t in range(3)])
+    state = blind.BlindTrackerState(w=w, mu=3.0, epsilon=0.0)
+    with pytest.raises(FloatingPointError, match=r"trial 5 are non-finite at iteration \d+ "):
         blind.run_packet(
-            state, packet, passes=10,
-            probe=lambda w: probed.append(w.copy()) or 0.0, probe_at=50,
-            normalized=False,
+            state, packet, passes=10, snapshots=[50, 100, 150],
+            normalized=False, first_trial=4,
         )
-    assert all(np.all(np.isfinite(w)) for w in probed)
-    assert not np.all(np.isfinite(state.w))
+    assert np.all(np.isfinite(state.w[[0, 2]]))
+    assert not np.all(np.isfinite(state.w[1]))

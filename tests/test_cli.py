@@ -85,6 +85,17 @@ def test_gaussianity_subcommand(tmp_path, capsys):
         assert "kurt(q)" in capsys.readouterr().out
 
 
+def test_gaussianity_with_fewer_subcarriers_than_multipath_taps(tmp_path, capsys):
+    # L = 4 leaves room for only 3 distinct delays after the tap at 0
+    args = (
+        "gaussianity --override channel.num_subcarriers=4"
+        " --override channel.subcarrier_index=1 --override cmt.num_frames=25100"
+    )
+    rc = cli.main([*args.split(), "--out", str(tmp_path)])
+    assert rc == 0, capsys.readouterr().err
+    assert (tmp_path / "stats.csv").exists()
+
+
 def test_verify_exit_codes(monkeypatch, capsys):
     ok = [verify.CheckResult("x", True, "", 0.0)]
     bad = [verify.CheckResult("x", True, "", 0.0), verify.CheckResult("y", False, "boom", 0.0)]
@@ -131,7 +142,7 @@ def test_divergence_exits_one_without_csv(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("cmtmimo: error: blind tracker diverged")
-    assert re.search(r"at iteration \d+", err)
+    assert re.search(r"weights of trial [01] are non-finite at iteration \d+", err)
     assert err.count("\n") == 1
     assert not any(tmp_path.iterdir())
 

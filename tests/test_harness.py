@@ -134,6 +134,40 @@ def test_run_fig3_outputs(tmp_path):
     assert result["trials"][0]["trajectory"][0][0] == 0
 
 
+def test_csv_bytes_do_not_depend_on_group_width(tmp_path, monkeypatch):
+    # one batch of 3 trials against groups of 2 and 1: each trial's rows
+    # come from its own generator and its own row of the batched kernel
+    cfg = tiny_config(trials=3)
+    harness.run_fig3(cfg, str(tmp_path / "one"))
+    harness.run_eye(cfg, str(tmp_path / "one"))
+    trial_bytes = cfg.blind.packet_len * cfg.channel.num_antennas * 16
+    monkeypatch.setattr(harness, "GROUP_BYTES", 2 * trial_bytes)
+    assert [list(g) for g in harness._trial_groups(cfg)] == [[0, 1], [2]]
+    harness.run_fig3(cfg, str(tmp_path / "split"))
+    harness.run_eye(cfg, str(tmp_path / "split"))
+    for name in ("trajectory.csv", "summary.csv", "eye.csv", "eye_opening.csv"):
+        assert (tmp_path / "one" / name).read_bytes() == (
+            tmp_path / "split" / name
+        ).read_bytes(), name
+
+
+def test_trial_rows_do_not_depend_on_num_trials(tmp_path):
+    runs = {}
+    for trials in (2, 3):
+        out = tmp_path / str(trials)
+        harness.run_fig3(tiny_config(trials=trials), str(out))
+        runs[trials] = {
+            name: [
+                row
+                for row in (out / name).read_text().splitlines()[1:]
+                if row.split(",")[0] in ("0", "1")
+            ]
+            for name in ("trajectory.csv", "summary.csv")
+        }
+    assert runs[2] == runs[3]
+    assert len(runs[2]["summary.csv"]) == 2
+
+
 def test_run_fig3_never_crossing_writes_sentinel(tmp_path):
     cfg = tiny_config()
     cfg.blind.mu = 0.0  # frozen tracker stays at the contaminated level
