@@ -108,7 +108,11 @@ def uplink_batch(
     """
     symbols = np.asarray(symbols, dtype=complex)
     scaled = topology.gains_at(receiving_bs)[:, :, None] * symbols
-    x = np.einsum("mnk,mkt->tn", h_stack[:, receiving_bs], scaled)
+    m_cells, _, n_ant, k_users = h_stack.shape
+    # x[t] = sum over (m, k) of H_mj[:, k] A_mj[k] t_mk: one GEMM over the
+    # M*K transmitters, (num_symbols, M*K) @ (M*K, N)
+    h = np.moveaxis(h_stack[:, receiving_bs], 0, 1).reshape(n_ant, m_cells * k_users)
+    x = scaled.reshape(m_cells * k_users, symbols.shape[-1]).T @ h.T
     x += _complex_noise(x.shape, noise_var, rng)
     return x
 

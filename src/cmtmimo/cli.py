@@ -20,6 +20,7 @@ the config, 1 for the divergence.
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 
 from . import harness, verify
@@ -96,11 +97,11 @@ def _run(command: str, config) -> int:
         result = harness.run_fig3(config)
         print(f"wrote {result['trajectory_csv']}")
         print(f"wrote {result['summary_csv']}")
-        crossings = [t["trajectory"] for t in result["trials"]]
-        finals = [t[-1][1] for t in crossings]
+        trajectories = [t["trajectory"] for t in result["trials"]]
+        finals = [trajectory[-1][1] for trajectory in trajectories]
         print(
             f"{len(finals)} trials, final blind SINR "
-            f"median {sorted(finals)[len(finals) // 2]:.2f} dB"
+            f"median {statistics.median(finals):.2f} dB"
         )
     elif command == "eye":
         result = harness.run_eye(config)

@@ -1,8 +1,10 @@
 """Experiment orchestration: scenario assembly, the three canonical
 experiments, and CSV emission.
 
-Each trial derives its own generator from (master seed, trial index) via
-``SeedSequence.spawn``, so trials are independent and reruns are
+Each trial derives its own generator from (master seed, trial index): the
+child ``SeedSequence(master_seed).spawn(n)[trial]`` for any n > trial,
+built directly from its spawn key.  So trials are independent, a trial's
+stream does not depend on how many trials run, and reruns are
 byte-identical.  Experiments work on one representative subcarrier; the
 per-subcarrier model is independent across subcarriers.
 """
@@ -27,25 +29,34 @@ EYE_OPENING_HEADER = "trial_id,iteration_bucket,eye_opening"
 STATS_HEADER = "sigma_q_sq,kurtosis_imag,kurtosis_real_unequalized,err_rate"
 
 
-def _fmt(x) -> str:
-    """Locale-independent CSV number: 12 significant digits."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.12g}"
+# printf-style row templates.  %d and %.12g write the same text as
+# str(int(x)) and f"{x:.12g}": locale-independent, 12 significant digits.
+TRAJECTORY_ROW = "%d,%d,%.12g,%.12g,%.12g,%.12g\n"
+SUMMARY_ROW = "%d,%d,%.12g,%.12g\n"
+EYE_OPENING_ROW = "%d,%d,%.12g\n"
+STATS_ROW = "%.12g,%.12g,%.12g,%.12g\n"
 
 
-def _write_csv(path: str, header: str, rows) -> None:
+def _eye_rows(lo: int, samples: list[float]) -> str:
+    """eye.csv rows ``lo,sample`` for one bucket's samples, formatted at once."""
+    return (f"{lo},%.12g\n" * len(samples)) % tuple(samples)
+
+
+def _write_csv(path: str, header: str, lines) -> None:
+    """Write the header, then the already formatted ``lines`` (an iterable of str)."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(lines)
 
 
-def trial_rng(master_seed: int, trial: int, num_trials: int) -> np.random.Generator:
-    """Generator for one trial, derived from (master seed, trial index)."""
-    children = np.random.SeedSequence(master_seed).spawn(num_trials)
-    return np.random.default_rng(children[trial])
+def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
+    """Generator for one trial, derived from (master seed, trial index).
+
+    It draws the same stream as ``SeedSequence(master_seed).spawn(n)[trial]``
+    for any n > trial, without spawning the other children.
+    """
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(trial,)))
 
 
 def calibrate_noise(config: ExperimentConfig, channel_energy: float | None = None) -> float:
@@ -271,7 +282,7 @@ def _track_group(
     packets = np.empty((packet_len, len(trials), config.channel.num_antennas), dtype=complex)
     scens = []
     for t, trial in enumerate(trials):
-        rng = trial_rng(config.run.master_seed, trial, config.run.num_trials)
+        rng = trial_rng(config.run.master_seed, trial)
         scen = build_scenario(config, rng, sigma_q)
         x, _ = scen.draw_block(packet_len)
         packets[:, t] = x
@@ -341,8 +352,8 @@ def run_fig3(config: ExperimentConfig, out_dir: str | None = None) -> dict:
 
     traj_path = os.path.join(out_dir, "trajectory.csv")
     summary_path = os.path.join(out_dir, "summary.csv")
-    _write_csv(traj_path, TRAJECTORY_HEADER, traj_rows)
-    _write_csv(summary_path, SUMMARY_HEADER, summary_rows)
+    _write_csv(traj_path, TRAJECTORY_HEADER, (TRAJECTORY_ROW % row for row in traj_rows))
+    _write_csv(summary_path, SUMMARY_HEADER, (SUMMARY_ROW % row for row in summary_rows))
     return {
         "trajectory_csv": traj_path,
         "summary_csv": summary_path,
@@ -377,21 +388,20 @@ def run_eye(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     spb = config.eye.samples_per_bucket
     starts = bounds[:-1].tolist()
     ends = [min(lo + spb, hi) for lo, hi in zip(starts, bounds[1:].tolist())]
-    eye_rows = (
-        (lo, v)
+    eye_lines = (
+        _eye_rows(lo, row[lo:end].tolist())
         for row in decisions
         for lo, end in zip(starts, ends)
-        for v in row[lo:end].tolist()
     )
-    opening_rows = (
-        (trial, lo, opening)
+    opening_lines = (
+        EYE_OPENING_ROW % (trial, lo, opening)
         for trial in range(num_trials)
         for lo, opening in zip(starts, openings[trial].tolist())
     )
     eye_path = os.path.join(out_dir, "eye.csv")
     opening_path = os.path.join(out_dir, "eye_opening.csv")
-    _write_csv(eye_path, EYE_HEADER, eye_rows)
-    _write_csv(opening_path, EYE_OPENING_HEADER, opening_rows)
+    _write_csv(eye_path, EYE_HEADER, eye_lines)
+    _write_csv(opening_path, EYE_OPENING_HEADER, opening_lines)
     return {
         "eye_csv": eye_path,
         "eye_opening_csv": opening_path,
@@ -407,16 +417,11 @@ def run_gaussianity(config: ExperimentConfig, out_dir: str | None = None) -> dic
     rng = np.random.default_rng(np.random.SeedSequence(config.run.master_seed))
     stats = cmt.measure_intrinsic_stats(cmt_cfg, proto, rng, config.cmt.num_frames)
     path = os.path.join(out_dir, "stats.csv")
-    _write_csv(
-        path,
-        STATS_HEADER,
-        [
-            (
-                stats.sigma_q_sq,
-                stats.kurtosis_imag,
-                stats.kurtosis_real_unequalized,
-                stats.real_part_alphabet_error_rate,
-            )
-        ],
+    row = (
+        stats.sigma_q_sq,
+        stats.kurtosis_imag,
+        stats.kurtosis_real_unequalized,
+        stats.real_part_alphabet_error_rate,
     )
+    _write_csv(path, STATS_HEADER, [STATS_ROW % row])
     return {"stats_csv": path, "stats": stats}

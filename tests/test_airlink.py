@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmtmimo import airlink, channel, topology
 
@@ -23,6 +25,13 @@ def receive_frame(topo, h_stack, symbols):
             for j in range(topo.num_cells)
         ]
     )
+
+
+def uplink_oracle(topo, h_stack, receiving_bs, symbols):
+    """Oracle for ``uplink_batch`` without noise: the (num_symbols, N)
+    contraction x[t, n] = sum_{m,k} H_mj[n, k] A_mj[k] t_mk[t] as an einsum."""
+    scaled = topo.gains_at(receiving_bs)[:, :, None] * np.asarray(symbols, dtype=complex)
+    return np.einsum("mnk,mkt->tn", h_stack[:, receiving_bs], scaled)
 
 
 def test_make_transmit_symbol_structure():
@@ -75,6 +84,41 @@ def test_uplink_batch_matches_receive_frame():
     assert batch.shape == (5, 4)
     for i in range(5):
         assert np.allclose(batch[i], receive_frame(topo, stack, t[:, :, i])[1], atol=1e-13)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 7),
+    k=st.integers(1, 4),
+    n=st.integers(1, 16),
+    num_symbols=st.integers(1, 50),
+    data=st.data(),
+    broadcast=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.integers(-6, 6),
+)
+def test_uplink_batch_matches_einsum_oracle(
+    m, k, n, num_symbols, data, broadcast, seed, log_scale
+):
+    rng = np.random.default_rng(seed)
+    topo = topology.build_topology(m, k, 0.0, 1.0, rng)
+    scale = 10.0**log_scale
+    shape = (m, m, n, k)
+    h_stack = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    if broadcast:
+        # read-only zero-stride symbols, as send_pilots passes its pilot book
+        book = rng.standard_normal((k, num_symbols)) + 1j * rng.standard_normal((k, num_symbols))
+        t = np.broadcast_to(book[None], (m, k, num_symbols))
+    else:
+        shape = (m, k, num_symbols)
+        t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    bs = data.draw(st.integers(0, m - 1))
+    x = airlink.uplink_batch(topo, h_stack, bs, t, 0.0, np.random.default_rng(0))
+    expected = uplink_oracle(topo, h_stack, bs, t)
+    assert x.shape == (num_symbols, n)
+    # rounding of a sum of M*K products scales with the sum of their magnitudes
+    magnitude = uplink_oracle(topo, np.abs(h_stack), bs, np.abs(t)).real
+    assert np.all(np.abs(x - expected) <= 1e-12 * magnitude)
 
 
 def test_noise_variance_scaling():

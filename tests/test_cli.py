@@ -1,4 +1,5 @@
 import re
+import statistics
 
 from cmtmimo import cli, verify
 
@@ -41,6 +42,10 @@ def test_simulate_writes_csvs(tmp_path, capsys):
     assert (tmp_path / "summary.csv").exists()
     out = capsys.readouterr().out
     assert "trajectory.csv" in out
+    # two trials: the median is the mean of the two final SINRs
+    summary = (tmp_path / "summary.csv").read_text().splitlines()[1:]
+    finals = [float(row.split(",")[2]) for row in summary]
+    assert f"2 trials, final blind SINR median {statistics.median(finals):.2f} dB" in out
 
 
 def test_seed_changes_output(tmp_path):

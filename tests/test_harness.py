@@ -1,8 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmtmimo import cmt, harness
 from cmtmimo.config import load_config
+
+
+def _fmt(x) -> str:
+    """Oracle for the CSV row templates: one locale-independent number,
+    12 significant digits."""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return f"{float(x):.12g}"
+
+
+def _oracle_row(row) -> str:
+    return ",".join(_fmt(v) for v in row) + "\n"
 
 
 def tiny_config(seed=7, trials=2):
@@ -27,11 +41,20 @@ def tiny_config(seed=7, trials=2):
 
 
 def test_trial_rng_is_deterministic_and_distinct():
-    a = harness.trial_rng(123, 0, 4).standard_normal(5)
-    b = harness.trial_rng(123, 0, 4).standard_normal(5)
-    c = harness.trial_rng(123, 3, 4).standard_normal(5)
+    a = harness.trial_rng(123, 0).standard_normal(5)
+    b = harness.trial_rng(123, 0).standard_normal(5)
+    c = harness.trial_rng(123, 3).standard_normal(5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 12345])
+@pytest.mark.parametrize("trial", [0, 1, 19, 199])
+def test_trial_rng_is_the_spawned_child(seed, trial):
+    drawn = harness.trial_rng(seed, trial).standard_normal(8)
+    for n in (trial + 1, 200):
+        child = np.random.SeedSequence(seed).spawn(n)[trial]
+        assert np.array_equal(np.random.default_rng(child).standard_normal(8), drawn)
 
 
 def test_calibrate_noise_closed_form_and_precedence():
@@ -88,7 +111,7 @@ def test_calibrated_sigma_q_is_resolved_once_per_run(tmp_path, monkeypatch):
 
 def test_build_scenario_shapes_and_contamination():
     cfg = tiny_config()
-    rng = harness.trial_rng(cfg.run.master_seed, 0, 2)
+    rng = harness.trial_rng(cfg.run.master_seed, 0)
     scen = harness.build_scenario(cfg, rng, 1.0)
     n = cfg.channel.num_antennas
     m = cfg.topology.num_cells
@@ -108,10 +131,10 @@ def test_build_scenario_shapes_and_contamination():
 def test_build_scenario_estimator_modes_agree_statistically():
     cfg = tiny_config()
     cfg.noise.target_sinr_db = np.inf  # noiseless: modes coincide exactly
-    rng_a = harness.trial_rng(1, 0, 1)
+    rng_a = harness.trial_rng(1, 0)
     direct = harness.build_scenario(cfg, rng_a, 1.0)
     cfg.pilot.estimator = "correlate"
-    rng_b = harness.trial_rng(1, 0, 1)
+    rng_b = harness.trial_rng(1, 0)
     correlate = harness.build_scenario(cfg, rng_b, 1.0)
     assert np.allclose(direct.h_hat, correlate.h_hat, rtol=1e-9, atol=1e-12)
 
@@ -212,11 +235,37 @@ def test_run_gaussianity_output(tmp_path):
     assert values[3] == 0.0
 
 
-def test_csv_number_format_is_locale_independent():
-    assert harness._fmt(3) == "3"
-    assert harness._fmt(np.int64(-1)) == "-1"
-    assert harness._fmt(0.25) == "0.25"
-    assert "," not in harness._fmt(1234567.25)
+_ints = st.one_of(
+    st.integers(-(10**12), 10**12),
+    st.integers(-(2**62), 2**62).map(np.int64),
+)
+_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.sampled_from([np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 1e300, 1e-300, -1e300]),
+)
+_ROW_KINDS = {
+    harness.TRAJECTORY_ROW: (_ints, _ints, _floats, _floats, _floats, _floats),
+    harness.SUMMARY_ROW: (_ints, _ints, _floats, _floats),
+    harness.EYE_OPENING_ROW: (_ints, _ints, _floats),
+    harness.STATS_ROW: (_floats, _floats, _floats, _floats),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_csv_number_format_is_locale_independent(data):
+    assert _fmt(3) == "3"
+    assert _fmt(np.int64(-1)) == "-1"
+    assert _fmt(0.25) == "0.25"
+    assert "," not in _fmt(1234567.25)
+    # every row template writes what the per-value oracle writes
+    for template, kinds in _ROW_KINDS.items():
+        row = data.draw(st.tuples(*kinds))
+        assert template % row == _oracle_row(row), template
+    lo = data.draw(st.integers(0, 10**6))
+    samples = data.draw(st.lists(_floats, max_size=30))
+    assert harness._eye_rows(lo, samples) == "".join(_oracle_row((lo, v)) for v in samples)
 
 
 def test_probe_schedule_structure():
