@@ -6,7 +6,7 @@ COST 207 multipath draws (channel), cosine-modulated multitone loopback
 statistics (cmt), pilot-contaminated estimation (airlink), reference
 combiners (combine), the blind tracker (blind) and its NumPy tracking
 kernel (kernels), and the canonical experiments with the SINR metric
-``block_sinr`` (harness).
+``probe_sinrs`` and its one-combiner form ``block_sinr`` (harness).
 """
 
 from .airlink import (
@@ -50,6 +50,7 @@ from .harness import (
     block_sinr,
     build_scenario,
     calibrate_noise,
+    probe_sinrs,
     resolve_sigma_q_sq,
     run_eye,
     run_fig3,
@@ -97,6 +98,7 @@ __all__ = [
     "measure_intrinsic_stats",
     "mf_weights",
     "mmse_weights",
+    "probe_sinrs",
     "resolve_sigma_q_sq",
     "run_eye",
     "run_fig3",

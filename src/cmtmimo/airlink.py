@@ -77,13 +77,19 @@ def dft_pilot_book(num_users: int, pilot_len: int) -> PilotBook:
     return PilotBook(sequences=rows, pilot_len=pilot_len)
 
 
-def _complex_noise(shape, var: float, rng: np.random.Generator) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian, total variance ``var`` per entry."""
-    draw = np.empty(shape, dtype=complex)
-    draw.real = rng.standard_normal(shape)
-    draw.imag = rng.standard_normal(shape)
-    draw *= np.sqrt(var / 2.0)
-    return draw
+def _add_complex_noise(x: np.ndarray, var: float, rng: np.random.Generator) -> None:
+    """Add circularly-symmetric complex Gaussian noise, total variance ``var``
+    per entry, to the complex array ``x`` in place.
+
+    The real parts draw first, then the imaginary parts, each through one
+    reused float buffer, so no complex noise array is built.
+    """
+    buf = np.empty(x.shape)
+    scale = np.sqrt(var / 2.0)
+    for part in (x.real, x.imag):
+        rng.standard_normal(out=buf)
+        buf *= scale
+        part += buf
 
 
 def uplink_batch(
@@ -113,7 +119,7 @@ def uplink_batch(
     # M*K transmitters, (num_symbols, M*K) @ (M*K, N)
     h = np.moveaxis(h_stack[:, receiving_bs], 0, 1).reshape(n_ant, m_cells * k_users)
     x = scaled.reshape(m_cells * k_users, symbols.shape[-1]).T @ h.T
-    x += _complex_noise(x.shape, noise_var, rng)
+    _add_complex_noise(x, noise_var, rng)
     return x
 
 
@@ -140,7 +146,7 @@ def estimate_channels_direct(
     gains = topology.gains_at(j)  # (M, K)
     h_hat = np.einsum("mnk,mk->nk", h_stack[:, j], gains.astype(complex))
     est_var = noise_var / pilot_len
-    h_hat = h_hat + _complex_noise(h_hat.shape, est_var, rng)
+    _add_complex_noise(h_hat, est_var, rng)
     return ChannelEstimate(H_hat=h_hat, mode="direct", est_noise_var=est_var)
 
 

@@ -13,8 +13,11 @@ p = 1; the ``p`` field only changes R.  The recursion is strictly
 sequential in time but independent across trials, so ``run_packet``
 tracks one trial or a (T, N) batch of trials in one loop,
 ``kernels.track_segment``, whose one-update reference is ``blind_step``.
-It hands back copies of the weights at requested iterations; the caller
-scores them (the experiments use ``harness.block_sinr``).
+The kernel computes the sequential updates exactly, 25 at a time, from
+each block's Gram matrix; ``run_packet`` builds those per-block factors
+once per call, since they depend only on the packet and the step.  It
+hands back copies of the weights at requested iterations; the caller
+scores them (the experiments use ``harness.probe_sinrs``).
 """
 
 from __future__ import annotations
@@ -226,7 +229,7 @@ def run_packet(
         seg = decisions[pos:stop] if collect_decisions else None
         kernels.track_segment(
             w, batch, norms, pos, stop - pos,
-            state.mu, state.epsilon, state.R, normalized, seg,
+            state.mu, state.epsilon, state.R, normalized, seg, factors,
         )
         state.iteration += stop - pos
         pos = stop
@@ -241,6 +244,7 @@ def run_packet(
     # overflow on the way to divergence is reported once, by the finite-weights
     # check after each segment, not as numpy warnings from the kernel
     with np.errstate(over="ignore", invalid="ignore"):
+        factors = kernels.block_factors(batch, norms, state.mu, state.epsilon, normalized)
         for j, stop in enumerate(stops):
             if stop > pos:
                 advance(stop)

@@ -4,7 +4,7 @@ Matched-filter weights maximize array gain without interference
 suppression; MMSE weights invert the received covariance (built from
 cross-cell channel knowledge) and dominate MF on every realization.  The
 SINR metric that compares them with the blind weights is
-``harness.block_sinr``.
+``harness.probe_sinrs``.
 """
 
 from __future__ import annotations

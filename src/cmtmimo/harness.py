@@ -175,44 +175,52 @@ def build_scenario(
     )
 
 
-def block_sinr(w, x_block: np.ndarray, s_block: np.ndarray) -> float:
-    """Empirical output SINR of a combiner on a fixed held-out block.
+def probe_sinrs(ws: np.ndarray, x_block: np.ndarray, s_block: np.ndarray) -> np.ndarray:
+    """Empirical output SINR of every combiner in ``ws`` on one held-out block.
 
     Parameters
     ----------
-    w : CombinerWeights or ndarray
-        Combiner to evaluate.
+    ws : ndarray, shape (K, N)
+        Weight vectors, one combiner per row.
     x_block : ndarray, shape (n, N)
         Received vectors.
     s_block : ndarray, shape (n,)
         The desired user's true PAM symbols (n >= 1000 for a stable
         estimate).
 
-    The output is y = Re{w^H x}; the least-squares gain g = sum(y s)/sum(s^2)
-    splits y into signal and residual, and sinr = g^2 E[s^2] / residual, so
-    the metric applies to weights of any scale and rotation.  Zero residual
-    reports +inf; zero gain reports -inf.
+    Returns the (K,) SINRs in dB.  Combiner k outputs y = Re{w_k^H x}; the
+    least-squares gain g = sum(y s)/sum(s^2) splits y into signal and
+    residual, and sinr = g^2 E[s^2] / residual, so the metric applies to
+    weights of any scale and rotation.  Zero residual reports +inf; zero
+    gain reports -inf.  All outputs come from one real GEMM on the
+    interleaved (re, im) parts: Re{x w^H} = x_re @ w_re^T.
     """
     n = s_block.size
     if n < 1000:
-        raise ValueError("block_sinr needs at least 1000 symbols")
+        raise ValueError("a SINR probe block needs at least 1000 symbols")
     if x_block.shape[0] != n:
         raise ValueError("x_block rows disagree with the length of s_block")
-    w_vec = w.w if isinstance(w, combine.CombinerWeights) else np.asarray(w, dtype=complex)
-    y = np.real(x_block @ w_vec.conj())
-    sum_ys = float(y @ s_block)
     sum_ss = float(s_block @ s_block)
-    sum_yy = float(y @ y)
     if sum_ss == 0.0:
         raise ValueError("s_block holds only zero symbols")
+    x_re = np.ascontiguousarray(x_block, dtype=complex).view(np.float64)
+    w_re = np.ascontiguousarray(ws, dtype=complex).view(np.float64)
+    y = x_re @ w_re.T  # (n, K)
+    sum_ys = s_block @ y
+    sum_yy = np.einsum("nk,nk->k", y, y)
     gain = sum_ys / sum_ss
     residual = (sum_yy - gain * sum_ys) / n
-    symbol_energy = sum_ss / n
-    if gain == 0.0:
-        return -np.inf
-    if residual <= 0.0:
-        return np.inf
-    return float(10.0 * np.log10(gain * gain * symbol_energy / residual))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sinr = 10.0 * np.log10(gain * gain * (sum_ss / n) / residual)
+    sinr[residual <= 0.0] = np.inf
+    sinr[gain == 0.0] = -np.inf
+    return sinr
+
+
+def block_sinr(w, x_block: np.ndarray, s_block: np.ndarray) -> float:
+    """``probe_sinrs`` of one combiner (CombinerWeights or an (N,) array)."""
+    w_vec = w.w if isinstance(w, combine.CombinerWeights) else np.asarray(w, dtype=complex)
+    return float(probe_sinrs(w_vec[None, :], x_block, s_block)[0])
 
 
 def reference_weights(scen: TrialScenario, config: ExperimentConfig):
@@ -307,8 +315,9 @@ def run_fig3(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     its cyclically reused packets, keeping the weights at every point of
     the probe schedule; then, one trial at a time, draw its held-out
     block, measure the three reference levels and the SINR of each kept
-    weight vector on it, and record the crossing of the MF-perfect level
-    plus the final gap to MMSE.  Only one probe block is alive at a time.
+    weight vector on it with one ``probe_sinrs`` call, and record the
+    crossing of the MF-perfect level plus the final gap to MMSE.  Only one
+    probe block is alive at a time.
 
     Returns the output paths and the per-trial trajectories.
     """
@@ -325,14 +334,10 @@ def run_fig3(config: ExperimentConfig, out_dir: str | None = None) -> dict:
         )
         for t, (trial, scen) in enumerate(zip(trials, scens)):
             x_probe, s_probe = scen.draw_block(config.blind.probe_symbols)
-            w_mf, w_mmse, w_contam = reference_weights(scen, config)
-            level_mf = block_sinr(w_mf, x_probe, s_probe)
-            level_mmse = block_sinr(w_mmse, x_probe, s_probe)
-            level_contam = block_sinr(w_contam, x_probe, s_probe)
-            trajectory = [
-                (iteration, block_sinr(weights[j, t], x_probe, s_probe))
-                for j, iteration in enumerate(schedule)
-            ]
+            refs = [w.w for w in reference_weights(scen, config)]
+            sinrs = probe_sinrs(np.vstack(refs + [weights[:, t]]), x_probe, s_probe)
+            level_mf, level_mmse, level_contam = sinrs[:3].tolist()
+            trajectory = list(zip(schedule, sinrs[3:].tolist()))
             trajectories.append(
                 {
                     "trial": trial,

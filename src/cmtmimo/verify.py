@@ -339,7 +339,7 @@ def _check_blind_cost_descent(seed):
         xp, sp = block(2000)
         state = blind.init_weights(h_hat, mu=0.05)
         weights, _ = blind.run_packet(state, packet, passes=4, snapshots=range(50, 2001, 50))
-        med_curves.append([harness.block_sinr(w, xp, sp) for w in weights])
+        med_curves.append(harness.probe_sinrs(weights, xp, sp))
     median = np.median(np.asarray(med_curves), axis=0)
     smooth = np.convolve(median, np.ones(5) / 5, mode="valid")
     drops = np.diff(smooth)

@@ -34,6 +34,47 @@ def uplink_oracle(topo, h_stack, receiving_bs, symbols):
     return np.einsum("mnk,mkt->tn", h_stack[:, receiving_bs], scaled)
 
 
+def complex_noise(shape, var, rng):
+    """Oracle for the receive noise: a complex array drawn real parts first,
+    then imaginary parts, scaled to total variance ``var`` per entry."""
+    draw = np.empty(shape, dtype=complex)
+    draw.real = rng.standard_normal(shape)
+    draw.imag = rng.standard_normal(shape)
+    draw *= np.sqrt(var / 2.0)
+    return draw
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_symbols=st.integers(1, 40),
+    var=st.floats(0.0, 4.0),
+)
+def test_noise_in_place_matches_complex_oracle(seed, num_symbols, var):
+    # in-place noise must add the very numbers the complex-array oracle
+    # adds and leave the generator in the same state
+    topo, h_stack, _ = fixed_setup()
+    symbols = airlink.make_transmit_symbol(
+        np.random.default_rng(seed).choice([-1.0, 1.0], size=(3, 2, num_symbols)),
+        0.3,
+        np.random.default_rng(seed + 1),
+    )
+    # noise_var = 0 adds only zeros, so this is the noiseless signal
+    clean = airlink.uplink_batch(topo, h_stack, 1, symbols, 0.0, np.random.default_rng(0))
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    x = airlink.uplink_batch(topo, h_stack, 1, symbols, var, rng)
+    assert np.array_equal(x, clean + complex_noise(clean.shape, var, oracle_rng))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    est = airlink.estimate_channels_direct(topo, h_stack, 1, var, 4, rng)
+    noiseless = airlink.estimate_channels_direct(
+        topo, h_stack, 1, 0.0, 4, np.random.default_rng(0)
+    ).H_hat
+    expected = noiseless + complex_noise(noiseless.shape, var / 4, oracle_rng)
+    assert np.array_equal(est.H_hat, expected)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 def test_make_transmit_symbol_structure():
     rng = np.random.default_rng(0)
     s = np.array([1.0, -1.0, 1.0])

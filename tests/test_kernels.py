@@ -32,7 +32,7 @@ def test_python_kernel_decision_is_pre_update():
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 8),
-    packet_len=st.integers(1, 9),
+    packet_len=st.integers(1, 3 * kernels.BLOCK + 1),
     start_laps=st.floats(0.0, 3.0),
     count_laps=st.floats(0.0, 3.0),
     mu=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
@@ -51,7 +51,8 @@ def test_kernel_matches_blind_step(
     if diverging is not None and diverging >= trials:
         diverging = None
     # start and count are drawn in packet lengths so segments begin
-    # anywhere and wrap past the end of the packet several times
+    # anywhere and wrap past the end of the packet several times; packets
+    # up to three blocks long cross block boundaries and end in short blocks
     start = int(start_laps * packet_len)
     count = int(count_laps * packet_len)
     rng = np.random.default_rng(seed)
@@ -90,3 +91,60 @@ def test_kernel_matches_blind_step(
         np.testing.assert_allclose(w[t], state.w, rtol=1e-10, atol=1e-13)
         if mu == 0.0 or w_scales[t] == 0.0:
             assert np.array_equal(w[t], w0[t])
+
+
+def _packet(rng, packet_len, trials, n):
+    shape = (packet_len, trials, n)
+    x = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0 * n)
+    return x, np.ascontiguousarray(np.einsum("ptn,ptn->pt", x, x.conj()).real)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    packet_len=st.integers(1, 3 * kernels.BLOCK + 1),
+    trials=st.integers(1, 3),
+    mu=st.floats(0.0, 0.5),
+    normalized=st.booleans(),
+)
+def test_block_factors_invert_each_block(seed, n, packet_len, trials, mu, normalized):
+    # I + F[t, b] must be the inverse of I + tril(eta G, -1) on every block,
+    # with G the block's Gram matrix Re{x_i^H x_j}
+    rng = np.random.default_rng(seed)
+    x, norms = _packet(rng, packet_len, trials, n)
+    eps = 1e-3
+    factors = kernels.block_factors(x, norms, mu, eps, normalized)
+    num_blocks = -(-packet_len // kernels.BLOCK)
+    assert factors.shape == (trials, num_blocks, kernels.BLOCK, kernels.BLOCK)
+    eta = 2.0 * mu / (norms + eps) if normalized else np.full(norms.shape, 2.0 * mu)
+    for t in range(trials):
+        for b in range(num_blocks):
+            rows = slice(b * kernels.BLOCK, min((b + 1) * kernels.BLOCK, packet_len))
+            xb = x[rows, t]
+            size = xb.shape[0]
+            gram = (xb.conj() @ xb.T).real
+            lower = np.tril(gram * eta[rows, t][None, :], -1)
+            m = np.eye(size) + factors[t, b, :size, :size]
+            np.testing.assert_allclose(m @ (np.eye(size) + lower), np.eye(size), atol=1e-12)
+            assert np.all(np.triu(factors[t, b]) == 0.0)
+            assert np.all(factors[t, b, size:] == 0.0)
+
+
+def test_block_factors_rows_are_independent():
+    # an overflowing unnormalized row must not leak into the other rows'
+    # factors: each must equal the factors of its trial tracked alone
+    rng = np.random.default_rng(5)
+    x, norms = _packet(rng, 2 * kernels.BLOCK + 7, 3, 6)
+    x[:, 1] *= 1e155
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms[:, 1] = np.einsum("pn,pn->p", x[:, 1], x[:, 1].conj()).real
+        factors = kernels.block_factors(x, norms, 0.1, 0.0, False)
+        for t in range(3):
+            alone = kernels.block_factors(
+                np.ascontiguousarray(x[:, t : t + 1]), norms[:, t : t + 1], 0.1, 0.0, False
+            )
+            if t == 1:
+                assert not np.all(np.isfinite(factors[t]))
+            else:
+                assert np.array_equal(factors[t], alone[0])
