@@ -20,12 +20,10 @@ from .airlink import (
     uplink_batch,
 )
 from .blind import (
-    DEFAULT_MU,
     BlindTrackerState,
     PamAlphabet,
     blind_step,
     dispersion_constant,
-    init_weights,
     run_packet,
 )
 from .channel import (
@@ -70,7 +68,6 @@ __all__ = [
     "ChannelRealization",
     "CmtConfig",
     "CombinerWeights",
-    "DEFAULT_MU",
     "ExperimentConfig",
     "IntrinsicStats",
     "PamAlphabet",
@@ -91,7 +88,6 @@ __all__ = [
     "estimate_channels_correlate",
     "estimate_channels_direct",
     "explicit_topology",
-    "init_weights",
     "load_config",
     "make_transmit_symbol",
     "matrix_stack",

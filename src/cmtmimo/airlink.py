@@ -40,11 +40,10 @@ class PilotBook:
 
 @dataclass(frozen=True)
 class ChannelEstimate:
-    """Estimated in-cell channel matrix with its estimation-noise level."""
+    """Estimated in-cell channel matrix and the mode that produced it."""
 
     H_hat: np.ndarray
     mode: str
-    est_noise_var: float
 
     def __post_init__(self) -> None:
         if self.mode not in ("direct", "correlate"):
@@ -145,15 +144,13 @@ def estimate_channels_direct(
     j = receiving_bs
     gains = topology.gains_at(j)  # (M, K)
     h_hat = np.einsum("mnk,mk->nk", h_stack[:, j], gains.astype(complex))
-    est_var = noise_var / pilot_len
-    _add_complex_noise(h_hat, est_var, rng)
-    return ChannelEstimate(H_hat=h_hat, mode="direct", est_noise_var=est_var)
+    _add_complex_noise(h_hat, noise_var / pilot_len, rng)
+    return ChannelEstimate(H_hat=h_hat, mode="direct")
 
 
 def estimate_channels_correlate(
     pilots: PilotBook,
     pilot_frames: np.ndarray,
-    noise_var: float = 0.0,
 ) -> ChannelEstimate:
     """Estimate by correlating received pilot frames with the pilot book.
 
@@ -163,8 +160,6 @@ def estimate_channels_correlate(
         The book every cell reuses (the source of contamination).
     pilot_frames : ndarray, shape (pilot_len, N)
         Received vectors at the estimating BS over the tau pilot times.
-    noise_var : float
-        Receive noise variance, recorded as ``noise_var / pilot_len``.
 
     Column l of the estimate is (1/tau) sum_n x(n) conj(pilot_l(n)).
     """
@@ -173,9 +168,7 @@ def estimate_channels_correlate(
     if frames.ndim != 2 or frames.shape[0] != tau:
         raise ValueError(f"pilot_frames must have shape ({tau}, N)")
     h_hat = frames.T @ pilots.sequences.conj().T / tau  # (N, K)
-    return ChannelEstimate(
-        H_hat=h_hat, mode="correlate", est_noise_var=noise_var / tau
-    )
+    return ChannelEstimate(H_hat=h_hat, mode="correlate")
 
 
 def send_pilots(

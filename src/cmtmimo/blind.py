@@ -1,7 +1,8 @@
 """Blind tap-weight tracking via the dispersion (Godard) criterion.
 
 Weights start from the matched filter built on the contaminated estimate
-and adapt with a normalized sign-LMS update that needs no training data:
+(``combine.mf_weights``) and adapt with a normalized sign-LMS update that
+needs no training data:
 
     y   = Re{w^H x}
     w  <- w - 2 mu / (x^H x + eps) * sign(y) * (|y| - R) * x
@@ -9,27 +10,20 @@ and adapt with a normalized sign-LMS update that needs no training data:
 where R is the dispersion constant of the PAM alphabet.  The decision
 variable is the real part of the combiner output (CMT decisions are real
 PAM), and the update is the instantaneous gradient of ((|y|^p) - R)^2 at
-p = 1; the ``p`` field only changes R.  The recursion is strictly
-sequential in time but independent across trials, so ``run_packet``
-tracks one trial or a (T, N) batch of trials in one loop,
-``kernels.track_segment``, whose one-update reference is ``blind_step``.
-The kernel computes the sequential updates exactly, 25 at a time, from
-each block's Gram matrix; ``run_packet`` builds those per-block factors
-once per call, since they depend only on the packet and the step.  It
-hands back copies of the weights at requested iterations; the caller
-scores them (the experiments use ``harness.probe_sinrs``).
+p = 1; p only changes R.  ``blind_step`` is the one-update reference;
+``run_packet`` tracks one trial or a (T, N) batch of trials with the
+block-exact ``kernels.track_segment`` and hands back copies of the weights
+at requested iterations for the caller to score (the experiments use
+``harness.probe_sinrs``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-
-DEFAULT_MU = 0.05
-EPSILON_PER_TAP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -89,7 +83,6 @@ class BlindTrackerState:
     w: np.ndarray
     mu: float
     epsilon: float
-    p: int = 1
     R: float = 1.0
     iteration: int = 0
 
@@ -102,30 +95,6 @@ class BlindTrackerState:
             raise ValueError("mu and epsilon must be >= 0")
         if self.R <= 0.0:
             raise ValueError("dispersion constant must be positive")
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
-
-
-def init_weights(
-    h_hat: np.ndarray,
-    mu: float = DEFAULT_MU,
-    epsilon: float | None = None,
-    p: int = 1,
-    R: float = 1.0,
-) -> BlindTrackerState:
-    """Tracker state initialized from the (contaminated) channel estimate.
-
-    w(0) = h_hat / (h_hat^H h_hat): the matched filter on the estimate, so
-    iteration 0 performs exactly as MF with contaminated CSI.  ``epsilon``
-    defaults to 1e-12 per tap.
-    """
-    h_hat = np.asarray(h_hat, dtype=complex).ravel()
-    energy = np.real(np.vdot(h_hat, h_hat))
-    if energy == 0.0:
-        raise ValueError("cannot initialize from a zero estimate")
-    if epsilon is None:
-        epsilon = EPSILON_PER_TAP * h_hat.size
-    return BlindTrackerState(w=h_hat / energy, mu=mu, epsilon=epsilon, p=p, R=R)
 
 
 def blind_step(
@@ -218,8 +187,6 @@ def run_packet(
     # the kernel works on a (T, N) batch; one trial is a batch of one
     w = state.w.reshape(-1, shape[-1])
     batch = packet.reshape(packet.shape[0], *w.shape)
-    batch_re = batch.view(np.float64)
-    norms = np.einsum("ptn,ptn->pt", batch_re, batch_re)
     weights = np.empty((len(stops),) + w.shape, dtype=complex)
     decisions = np.empty((total, w.shape[0])) if collect_decisions else None
     pos = 0
@@ -227,10 +194,7 @@ def run_packet(
     def advance(stop: int) -> None:
         nonlocal pos
         seg = decisions[pos:stop] if collect_decisions else None
-        kernels.track_segment(
-            w, batch, norms, pos, stop - pos,
-            state.mu, state.epsilon, state.R, normalized, seg, factors,
-        )
+        kernels.track_segment(w, batch, eta, factors, pos, stop - pos, state.R, seg)
         state.iteration += stop - pos
         pos = stop
         finite = np.isfinite(w).all(axis=1)
@@ -244,7 +208,8 @@ def run_packet(
     # overflow on the way to divergence is reported once, by the finite-weights
     # check after each segment, not as numpy warnings from the kernel
     with np.errstate(over="ignore", invalid="ignore"):
-        factors = kernels.block_factors(batch, norms, state.mu, state.epsilon, normalized)
+        eta = kernels.step_sizes(batch, state.mu, state.epsilon, normalized)
+        factors = kernels.block_factors(batch, eta)
         for j, stop in enumerate(stops):
             if stop > pos:
                 advance(stop)

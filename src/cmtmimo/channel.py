@@ -81,7 +81,6 @@ class ChannelRealization:
     pdp : PowerDelayProfile
         The profile the taps were drawn from (delays are reused by
         frequency-response evaluation).
-    num_antennas : int
     sample_rate : float
         Total bandwidth in Hz; subcarrier k sits at k * sample_rate / L.
     num_subcarriers : int
@@ -89,15 +88,12 @@ class ChannelRealization:
 
     taps: np.ndarray
     pdp: PowerDelayProfile
-    num_antennas: int
     sample_rate: float
     num_subcarriers: int
 
     def __post_init__(self) -> None:
         if self.taps.ndim != 5:
             raise ValueError("taps must have shape (M, M, K, N, T)")
-        if self.taps.shape[3] != self.num_antennas:
-            raise ValueError("antenna axis inconsistent with num_antennas")
         if self.taps.shape[4] != self.pdp.num_taps:
             raise ValueError("tap axis inconsistent with the profile")
         if self.sample_rate <= 0.0:
@@ -129,7 +125,6 @@ def draw_channels(
     return ChannelRealization(
         taps=taps,
         pdp=pdp,
-        num_antennas=num_antennas,
         sample_rate=sample_rate,
         num_subcarriers=num_subcarriers,
     )

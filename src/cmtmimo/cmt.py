@@ -31,8 +31,6 @@ class CmtConfig:
     ----------
     num_subcarriers : int
         L; also the number of samples per symbol period.
-    subcarrier_spacing : float
-        Hz; equals the PAM symbol rate.
     overlap_factor : int
         Prototype length in symbol periods.
     rolloff : float
@@ -40,7 +38,6 @@ class CmtConfig:
     """
 
     num_subcarriers: int
-    subcarrier_spacing: float
     overlap_factor: int
     rolloff: float
 
@@ -51,8 +48,6 @@ class CmtConfig:
             raise ValueError("overlap_factor must be >= 4")
         if not 0.0 < self.rolloff <= 1.0:
             raise ValueError("rolloff must lie in (0, 1]")
-        if self.subcarrier_spacing <= 0.0:
-            raise ValueError("subcarrier_spacing must be positive")
         if self.num_subcarriers * self.overlap_factor % 2:
             raise ValueError(
                 "num_subcarriers * overlap_factor must be even so the prototype "
@@ -65,12 +60,9 @@ class PrototypeFilter:
     """Unit-energy linear-phase prototype."""
 
     coefficients: np.ndarray
-    length: int
 
     def __post_init__(self) -> None:
         c = np.asarray(self.coefficients, dtype=float)
-        if c.size != self.length:
-            raise ValueError("length field does not match coefficient count")
         if abs(np.sum(c * c) - 1.0) > 1e-12:
             raise ValueError("prototype must have unit energy")
         if np.max(np.abs(c - c[::-1])) > 1e-12:
@@ -131,7 +123,7 @@ def design_prototype(config: CmtConfig) -> PrototypeFilter:
     idx = np.arange(span + 1)
     g = _srrc((idx - span // 2) / config.num_subcarriers, config.rolloff)
     g /= np.sqrt(np.sum(g * g))
-    return PrototypeFilter(coefficients=g, length=span + 1)
+    return PrototypeFilter(coefficients=g)
 
 
 def _toggle(config: CmtConfig, phase_toggle: bool) -> np.ndarray:

@@ -122,10 +122,8 @@ class ExperimentConfig:
         )
 
     def cmt_config(self) -> CmtConfig:
-        ch = self.channel
         return CmtConfig(
-            num_subcarriers=ch.num_subcarriers,
-            subcarrier_spacing=ch.bandwidth_hz / ch.num_subcarriers,
+            num_subcarriers=self.channel.num_subcarriers,
             overlap_factor=self.cmt.overlap_factor,
             rolloff=self.cmt.rolloff,
         )

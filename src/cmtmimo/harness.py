@@ -59,17 +59,16 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(trial,)))
 
 
-def calibrate_noise(config: ExperimentConfig, channel_energy: float | None = None) -> float:
+def calibrate_noise(config: ExperimentConfig) -> float:
     """Receive-noise variance for the configured operating point.
 
     An explicit ``noise.sigma_v_sq`` wins.  Otherwise the target SINR is
     read as the contamination-free perfect-CSI MF operating point, giving
 
-        sigma_v_sq = 2 E[||h||^2] E[s^2] / 10^(target/10).
+        sigma_v_sq = 2 E[||h||^2] E[s^2] / 10^(target/10),
 
-    ``channel_energy`` defaults to N (exact for a unit-energy profile); a
-    measured average over sample draws may be passed instead.  A target of
-    +inf means noiseless operation.
+    with E[||h||^2] = N for the unit-energy profile.  A target of +inf
+    means noiseless operation.
     """
     if config.noise.sigma_v_sq is not None:
         return float(config.noise.sigma_v_sq)
@@ -78,10 +77,8 @@ def calibrate_noise(config: ExperimentConfig, channel_energy: float | None = Non
         raise ValueError("noise.target_sinr_db must be finite or +inf")
     if target == np.inf:
         return 0.0
-    if channel_energy is None:
-        channel_energy = float(config.channel.num_antennas)
     es = config.alphabet().second_moment
-    return 2.0 * channel_energy * es / 10.0 ** (target / 10.0)
+    return 2.0 * float(config.channel.num_antennas) * es / 10.0 ** (target / 10.0)
 
 
 def resolve_sigma_q_sq(config: ExperimentConfig) -> float:
@@ -162,7 +159,7 @@ def build_scenario(
     else:
         pilots = airlink.dft_pilot_book(topo.users_per_cell, config.pilot.pilot_len)
         frames = airlink.send_pilots(topo, h_stack, 0, pilots, sigma_v_sq, rng)
-        estimate = airlink.estimate_channels_correlate(pilots, frames, sigma_v_sq)
+        estimate = airlink.estimate_channels_correlate(pilots, frames)
     return TrialScenario(
         topo=topo,
         h_stack=h_stack,
@@ -189,9 +186,9 @@ def probe_sinrs(ws: np.ndarray, x_block: np.ndarray, s_block: np.ndarray) -> np.
         estimate).
 
     Returns the (K,) SINRs in dB.  Combiner k outputs y = Re{w_k^H x}; the
-    least-squares gain g = sum(y s)/sum(s^2) splits y into signal and
-    residual, and sinr = g^2 E[s^2] / residual, so the metric applies to
-    weights of any scale and rotation.  Zero residual reports +inf; zero
+    least-squares gain g = sum(y s)/sum(s^2) splits y into signal g s and
+    residual y - g s, and sinr = g^2 E[s^2] / mean((y - g s)^2), so the
+    metric applies to weights of any scale and rotation.  Zero residual reports +inf; zero
     gain reports -inf.  All outputs come from one real GEMM on the
     interleaved (re, im) parts: Re{x w^H} = x_re @ w_re^T.
     """
@@ -206,10 +203,11 @@ def probe_sinrs(ws: np.ndarray, x_block: np.ndarray, s_block: np.ndarray) -> np.
     x_re = np.ascontiguousarray(x_block, dtype=complex).view(np.float64)
     w_re = np.ascontiguousarray(ws, dtype=complex).view(np.float64)
     y = x_re @ w_re.T  # (n, K)
-    sum_ys = s_block @ y
-    sum_yy = np.einsum("nk,nk->k", y, y)
-    gain = sum_ys / sum_ss
-    residual = (sum_yy - gain * sum_ys) / n
+    gain = (s_block @ y) / sum_ss
+    # sum(y^2) - g sum(y s) is the same residual, but as a difference of
+    # near-equal sums it loses digits at high SINR
+    y -= np.outer(s_block, gain)
+    residual = np.einsum("nk,nk->k", y, y) / n
     with np.errstate(divide="ignore", invalid="ignore"):
         sinr = 10.0 * np.log10(gain * gain * (sum_ss / n) / residual)
     sinr[residual <= 0.0] = np.inf
@@ -237,13 +235,12 @@ def reference_weights(scen: TrialScenario, config: ExperimentConfig):
 def initial_state(
     config: ExperimentConfig, scens: list[TrialScenario]
 ) -> blind.BlindTrackerState:
-    """Batched tracker state: row t starts at trial t's contaminated MF,
-    with the configured step and R."""
+    """Batched tracker state: row t starts at the MF on trial t's
+    contaminated estimate, with mu, epsilon and R from the config."""
     return blind.BlindTrackerState(
-        w=np.stack([blind.init_weights(scen.h_hat).w for scen in scens]),
+        w=np.stack([combine.mf_weights(scen.h_hat).w for scen in scens]),
         mu=config.blind.mu,
         epsilon=config.blind_epsilon(),
-        p=config.blind.p,
         R=blind.dispersion_constant(config.alphabet(), config.blind.p),
     )
 

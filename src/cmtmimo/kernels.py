@@ -18,8 +18,10 @@ triangular M = (I + tril(eta G, -1))^-1.  Since y_i depends only on
 s_{<i}, iterating s <- sign(y) from s = sign(y0) reaches the sequential
 signs in at most n + 1 rounds (about one in practice).  The block's
 weight change is then one product, w -= sum_j eta_j (y_j - R s_j) x_j.
-M depends only on the packet and the step, so ``block_factors`` builds
-it once per packet.
+
+The steps eta (``step_sizes``) and the factors M - I (``block_factors``)
+depend only on the packet and the step, so the caller builds both once
+per packet and passes them to every ``track_segment`` call on it.
 """
 
 from __future__ import annotations
@@ -30,23 +32,29 @@ import numpy as np
 BLOCK = 25
 
 
-def _step_sizes(x_norm_sq: np.ndarray, mu: float, eps: float, normalized: bool) -> np.ndarray:
-    """Per-update step eta, (P, T): 2 mu / (x^H x + eps), or 2 mu unnormalized."""
+def step_sizes(x_packet: np.ndarray, mu: float, eps: float, normalized: bool) -> np.ndarray:
+    """Per-update steps eta, (T, P): 2 mu / (x^H x + eps), or 2 mu unnormalized.
+
+    ``x_packet`` is the (P, T, N) complex stack; its squared norms are the
+    plain dot products of the interleaved (re, im) parts.
+    """
     two_mu = 2.0 * mu
-    return two_mu / (x_norm_sq + eps) if normalized else np.full(x_norm_sq.shape, two_mu)
+    if not normalized:
+        return np.full((x_packet.shape[1], x_packet.shape[0]), two_mu)
+    x_re = x_packet.view(np.float64)
+    return (two_mu / (np.einsum("ptn,ptn->pt", x_re, x_re) + eps)).T
 
 
-def block_factors(
-    x_packet: np.ndarray, x_norm_sq: np.ndarray, mu: float, eps: float, normalized: bool
-) -> np.ndarray:
+def block_factors(x_packet: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """M - I for every packet-aligned block [b BLOCK, (b+1) BLOCK) and trial.
 
     Returns a (T, ceil(P / BLOCK), BLOCK, BLOCK) array F with
     F[t, b] = (I + tril(eta G, -1))^-1 - I, strictly lower triangular, for
-    the block's Gram matrix G_ij = Re{x_i^H x_j} of trial t.  A short last
-    block fills only its leading square.  The diagonal blocks of a
-    triangular inverse are the inverses of its diagonal blocks, so a
-    segment piece [a, a+n) inside a block uses F[t, b][a:a+n, a:a+n].
+    the block's Gram matrix G_ij = Re{x_i^H x_j} of trial t and the (T, P)
+    steps ``eta`` of ``step_sizes``.  A short last block fills only its
+    leading square.  The diagonal blocks of a triangular inverse are the
+    inverses of its diagonal blocks, so a segment piece [a, a+n) inside a
+    block uses F[t, b][a:a+n, a:a+n].
 
     The inverse is a forward substitution over all (trial, block) pairs at
     once, written over the Gram array; a non-finite row stays in its own
@@ -64,10 +72,10 @@ def block_factors(
     if tail:
         xt = x_re[full * BLOCK :].transpose(1, 0, 2)
         factors[:, full, :tail, :tail] = xt @ xt.swapaxes(-1, -2)
-    eta = np.zeros((trials, num_blocks * BLOCK))
-    eta[:, :packet_len] = _step_sizes(x_norm_sq, mu, eps, normalized).T
+    padded = np.zeros((trials, num_blocks * BLOCK))
+    padded[:, :packet_len] = eta
     # L_ij = eta_j G_ij below the diagonal, zero elsewhere
-    factors *= eta.reshape(trials, num_blocks, 1, BLOCK)
+    factors *= padded.reshape(trials, num_blocks, 1, BLOCK)
     factors[:, :, ~np.tri(BLOCK, k=-1, dtype=bool)] = 0.0
     # (I + L)(I + F) = I gives row i of F as -L_i (I + F_{<i})
     for i in range(1, BLOCK):
@@ -80,43 +88,35 @@ def block_factors(
 def track_segment(
     w: np.ndarray,
     x_packet: np.ndarray,
-    x_norm_sq: np.ndarray,
+    eta: np.ndarray,
+    factors: np.ndarray,
     start: int,
     count: int,
-    mu: float,
-    eps: float,
     r: float,
-    normalized: bool,
     s_out: np.ndarray | None = None,
-    factors: np.ndarray | None = None,
 ) -> None:
     """Run ``count`` tap-weight updates in place on every row, cycling over the packet.
 
     ``w`` is a C-contiguous (T, N) complex array, one trial per row;
-    ``x_packet`` is a C-contiguous (P, T, N) complex array and
-    ``x_norm_sq`` its (P, T) squared norms.  Update i uses packet row
-    k = (start + i) % P and, for each trial t:
+    ``x_packet`` is a C-contiguous (P, T, N) complex array, ``eta`` its
+    (T, P) ``step_sizes`` and ``factors`` its ``block_factors``.  Update i
+    uses packet row k = (start + i) % P and, for each trial t:
 
         y   = Re{w[t]^H x[k, t]}
-        eta = 2 mu / (x^H x + eps)   (or 2 mu unnormalized)
-        w[t] -= eta * sign(y) * (|y| - r) * x[k, t]
+        w[t] -= eta[t, k] * sign(y) * (|y| - r) * x[k, t]
 
     The updates run a block at a time (see the module docstring); a
     segment may start and stop anywhere in a block.  Rows share no
     arithmetic, so a diverging row leaves the others exact.  ``s_out``,
     when given, is a (count, T) array that receives the pre-update
-    decisions y.  ``factors`` is ``block_factors`` of the same packet and
-    step, built here when not given.
+    decisions y.
     """
     packet_len = x_packet.shape[0]
-    if factors is None:
-        factors = block_factors(x_packet, x_norm_sq, mu, eps, normalized)
     # real views: Re{w^H x} is the plain dot product of the interleaved
     # (re, im) parts, and scaling x by a real coefficient is elementwise
     w_re = w.view(np.float64)
     w_col = w_re[:, :, None]
     x_re = x_packet.view(np.float64)
-    eta = _step_sizes(x_norm_sq, mu, eps, normalized).T
     pos, done = start % packet_len, 0
     while done < count:
         # the piece [pos, pos + n) lies in one block and before the packet's end

@@ -93,9 +93,7 @@ def _check_channel_antenna_independence(seed):
 
 
 def _check_cmt_reconstruction(seed):
-    cfg = cmt.CmtConfig(
-        num_subcarriers=32, subcarrier_spacing=1e3, overlap_factor=32, rolloff=0.25
-    )
+    cfg = cmt.CmtConfig(num_subcarriers=32, overlap_factor=32, rolloff=0.25)
     proto = cmt.design_prototype(cfg)
     rng = np.random.default_rng(seed)
     num_frames = 84
@@ -113,9 +111,7 @@ def _check_cmt_reconstruction(seed):
 
 
 def _check_cmt_gaussianity(seed):
-    cfg = cmt.CmtConfig(
-        num_subcarriers=64, subcarrier_spacing=1e3, overlap_factor=32, rolloff=0.25
-    )
+    cfg = cmt.CmtConfig(num_subcarriers=64, overlap_factor=32, rolloff=0.25)
     proto = cmt.design_prototype(cfg)
     stats = cmt.measure_intrinsic_stats(
         cfg, proto, np.random.default_rng(seed), num_frames=540, min_samples=30000
@@ -337,7 +333,9 @@ def _check_blind_cost_descent(seed):
 
         packet, _ = block(500)
         xp, sp = block(2000)
-        state = blind.init_weights(h_hat, mu=0.05)
+        state = blind.BlindTrackerState(
+            w=combine.mf_weights(h_hat).w, mu=0.05, epsilon=1e-12 * n
+        )
         weights, _ = blind.run_packet(state, packet, passes=4, snapshots=range(50, 2001, 50))
         med_curves.append(harness.probe_sinrs(weights, xp, sp))
     median = np.median(np.asarray(med_curves), axis=0)

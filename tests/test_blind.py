@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from cmtmimo import blind
+from cmtmimo import blind, combine
+
+
+def start(h, mu=0.05):
+    """Tracker state at the matched filter on ``h``: the experiments' start."""
+    return blind.BlindTrackerState(w=combine.mf_weights(h).w, mu=mu, epsilon=1e-12 * h.size)
 
 
 def test_binary_alphabet_moments():
@@ -46,17 +51,6 @@ def test_dispersion_constant_exact_values():
     assert blind.dispersion_constant(pam4, 1) == pytest.approx(2.5)
     with pytest.raises(ValueError):
         blind.dispersion_constant(binary, 0)
-
-
-def test_init_weights_gain_identity():
-    rng = np.random.default_rng(1)
-    h_hat = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    state = blind.init_weights(h_hat)
-    assert np.real(np.vdot(state.w, h_hat)) == pytest.approx(1.0, abs=1e-12)
-    assert state.iteration == 0
-    assert state.mu == blind.DEFAULT_MU
-    assert state.epsilon == pytest.approx(1e-12 * 32)
-    assert state.R == 1.0
 
 
 def test_blind_step_hand_oracle_normalized():
@@ -110,8 +104,6 @@ def test_tracker_state_validation():
         blind.BlindTrackerState(w=w, mu=0.1, epsilon=-1.0, R=1.0)
     with pytest.raises(ValueError):
         blind.BlindTrackerState(w=w, mu=0.1, epsilon=0.0, R=0.0)
-    with pytest.raises(ValueError):
-        blind.BlindTrackerState(w=w, mu=0.1, epsilon=0.0, R=1.0, p=0)
 
 
 def test_run_packet_probe_every_iteration():
@@ -119,13 +111,13 @@ def test_run_packet_probe_every_iteration():
     rng = np.random.default_rng(3)
     packet = rng.standard_normal((25, 4)) + 1j * rng.standard_normal((25, 4))
     h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    state = blind.init_weights(h)
+    state = start(h)
     weights, decisions = blind.run_packet(state, packet, passes=1, snapshots=range(1, 26))
     assert weights.shape == (25, 4)
     assert decisions is None
     assert state.iteration == 25
     assert np.array_equal(weights[-1], state.w)
-    step = blind.init_weights(h)
+    step = start(h)
     for i in range(25):
         blind.run_packet(step, packet[i : i + 1], passes=1)
         assert np.array_equal(weights[i], step.w)
@@ -136,12 +128,12 @@ def test_run_packet_cadence_and_final_probe():
     rng = np.random.default_rng(4)
     packet = rng.standard_normal((10, 4)) + 1j * rng.standard_normal((10, 4))
     h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    state = blind.init_weights(h)
+    state = start(h)
     weights, _ = blind.run_packet(state, packet, passes=3, snapshots=[7, 14, 21, 28])
     assert weights.shape == (4, 4)
     assert state.iteration == 30
     for stop, w in zip([7, 14, 21, 28], weights):
-        ref = blind.init_weights(h)
+        ref = start(h)
         full, rest = divmod(stop, 10)
         if full:
             blind.run_packet(ref, packet, passes=full)
@@ -155,7 +147,7 @@ def test_run_packet_explicit_probe_iterations_with_zero():
     rng = np.random.default_rng(5)
     packet = rng.standard_normal((10, 4)) + 1j * rng.standard_normal((10, 4))
     h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    state = blind.init_weights(h)
+    state = start(h)
     w0 = state.w.copy()
     weights, _ = blind.run_packet(state, packet, passes=1, snapshots=[0, 5, 10])
     assert np.array_equal(weights[0], w0)  # taken before any update
@@ -169,7 +161,7 @@ def test_run_packet_frozen_tracker_with_zero_mu():
     rng = np.random.default_rng(6)
     packet = rng.standard_normal((20, 4)) + 1j * rng.standard_normal((20, 4))
     h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    state = blind.init_weights(h, mu=0.0)
+    state = start(h, mu=0.0)
     w0 = state.w.copy()
     weights, _ = blind.run_packet(state, packet, passes=2, snapshots=[10, 20, 30, 40])
     assert np.array_equal(state.w, w0)
@@ -184,7 +176,7 @@ def test_run_packet_batch_rows_match_single_trials():
     packets = rng.standard_normal((12, trials, n)) + 1j * rng.standard_normal((12, trials, n))
     hs = rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n))
     batch = blind.BlindTrackerState(
-        w=np.stack([blind.init_weights(h).w for h in hs]), mu=blind.DEFAULT_MU, epsilon=1e-12 * n
+        w=np.stack([combine.mf_weights(h).w for h in hs]), mu=0.05, epsilon=1e-12 * n
     )
     weights, decisions = blind.run_packet(
         batch, packets, passes=2, snapshots=[0, 9, 24], collect_decisions=True
@@ -192,7 +184,7 @@ def test_run_packet_batch_rows_match_single_trials():
     assert weights.shape == (3, trials, n)
     assert decisions.shape == (24, trials)
     for t in range(trials):
-        one = blind.init_weights(hs[t])
+        one = start(hs[t])
         w_one, d_one = blind.run_packet(
             one, packets[:, t], passes=2, snapshots=[0, 9, 24], collect_decisions=True
         )
@@ -205,9 +197,9 @@ def test_run_packet_state_continuity_across_calls():
     rng = np.random.default_rng(7)
     packet = rng.standard_normal((30, 8)) + 1j * rng.standard_normal((30, 8))
     h = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    one = blind.init_weights(h)
+    one = start(h)
     blind.run_packet(one, packet, passes=2)
-    two = blind.init_weights(h)
+    two = start(h)
     blind.run_packet(two, packet, passes=1)
     blind.run_packet(two, packet, passes=1)
     assert one.iteration == two.iteration == 60
@@ -219,11 +211,11 @@ def test_run_packet_decisions_match_reference_steps():
     packet = rng.standard_normal((15, 4)) + 1j * rng.standard_normal((15, 4))
     h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
 
-    fast = blind.init_weights(h, mu=0.04)
+    fast = start(h, mu=0.04)
     _, decisions = blind.run_packet(fast, packet, passes=3, collect_decisions=True)
     assert decisions.shape == (45,)
 
-    slow = blind.init_weights(h, mu=0.04)
+    slow = start(h, mu=0.04)
     expected = []
     for i in range(45):
         slow, s_hat = blind.blind_step(slow, packet[i % 15])
@@ -233,7 +225,7 @@ def test_run_packet_decisions_match_reference_steps():
 
 
 def test_run_packet_input_validation():
-    state = blind.init_weights(np.ones(4, dtype=complex))
+    state = start(np.ones(4, dtype=complex))
     good = np.ones((5, 4), dtype=complex)
     with pytest.raises(ValueError):
         blind.run_packet(state, np.ones((5, 3), dtype=complex), passes=1)
@@ -254,7 +246,7 @@ def test_descent_on_stationary_mixture():
     x = np.outer(s + 1j * rng.standard_normal(400), h)
     x += 0.05 * (rng.standard_normal((400, n)) + 1j * rng.standard_normal((400, n)))
     h_hat = h + 0.4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    state = blind.init_weights(h_hat, mu=0.05)
+    state = start(h_hat, mu=0.05)
 
     def dispersion_cost():
         # sample Godard cost at p = 1: mean of (|y| - R)^2
@@ -275,7 +267,7 @@ def test_run_packet_raises_on_divergence():
     packet = rng.standard_normal((50, 3, n)) + 1j * rng.standard_normal((50, 3, n))
     packet[:, 0] *= 1e-3
     packet[:, 2] *= 1e-3
-    w = np.stack([blind.init_weights(packet[0, t]).w for t in range(3)])
+    w = np.stack([combine.mf_weights(packet[0, t]).w for t in range(3)])
     state = blind.BlindTrackerState(w=w, mu=3.0, epsilon=0.0)
     with pytest.raises(FloatingPointError, match=r"trial 5 are non-finite at iteration \d+ "):
         blind.run_packet(

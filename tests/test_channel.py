@@ -58,7 +58,6 @@ def test_draw_channels_shapes_and_determinism():
     )
     assert real_a.taps.shape == (3, 3, 2, 4, 6)
     assert np.array_equal(real_a.taps, real_b.taps)
-    assert real_a.num_antennas == 4
 
 
 def test_freq_response_single_tap_is_flat():

@@ -37,7 +37,6 @@ def direct_demodulate(samples, k, cfg, proto, num_symbols, phase_toggle=True):
 def make_cfg(num_subcarriers=16, overlap=32, rolloff=0.25):
     return cmt.CmtConfig(
         num_subcarriers=num_subcarriers,
-        subcarrier_spacing=1e3,
         overlap_factor=overlap,
         rolloff=rolloff,
     )
@@ -47,7 +46,7 @@ def test_prototype_basic_properties():
     cfg = make_cfg()
     proto = cmt.design_prototype(cfg)
     c = proto.coefficients
-    assert proto.length == cfg.overlap_factor * cfg.num_subcarriers + 1
+    assert c.size == cfg.overlap_factor * cfg.num_subcarriers + 1
     assert abs(np.sum(c * c) - 1.0) < 1e-12
     assert np.max(np.abs(c - c[::-1])) < 1e-12
 
@@ -90,12 +89,12 @@ def test_prototype_filter_rejects_broken_invariants():
     cfg = make_cfg()
     c = cmt.design_prototype(cfg).coefficients
     with pytest.raises(ValueError):
-        cmt.PrototypeFilter(coefficients=2.0 * c, length=c.size)
+        cmt.PrototypeFilter(coefficients=2.0 * c)
     broken = c.copy()
     broken[0] += 0.05
     broken /= np.sqrt(np.sum(broken**2))
     with pytest.raises(ValueError):
-        cmt.PrototypeFilter(coefficients=broken, length=broken.size)
+        cmt.PrototypeFilter(coefficients=broken)
 
 
 def test_one_tap_equalizer_inverts_flat_gain():

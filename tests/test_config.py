@@ -135,10 +135,9 @@ def test_helper_constructors():
     assert pdp.tap_delays.size == 6
     cmt_cfg = cfg.cmt_config()
     assert cmt_cfg.num_subcarriers == 256
-    assert cmt_cfg.subcarrier_spacing == pytest.approx(5e6 / 256)
     assert cfg.blind_epsilon() == pytest.approx(1e-12 * 128)
     cfg.blind.epsilon = 1e-6
     assert cfg.blind_epsilon() == 1e-6
     # the FFT takes any L, not only powers of two
     cfg.channel.num_subcarriers = 100
-    assert cfg.cmt_config().subcarrier_spacing == pytest.approx(5e6 / 100)
+    assert cfg.cmt_config().num_subcarriers == 100

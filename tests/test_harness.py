@@ -58,9 +58,8 @@ def test_calibrate_noise_closed_form_and_precedence():
     cfg = load_config(None)
     expected = 2.0 * 128 * 1.0 / 10.0**3.2
     assert harness.calibrate_noise(cfg) == pytest.approx(expected, rel=1e-12)
-    assert harness.calibrate_noise(cfg, channel_energy=64.0) == pytest.approx(
-        expected / 2, rel=1e-12
-    )
+    cfg.channel.num_antennas = 64
+    assert harness.calibrate_noise(cfg) == pytest.approx(expected / 2, rel=1e-12)
     cfg.noise.sigma_v_sq = 0.125
     assert harness.calibrate_noise(cfg) == 0.125
     cfg.noise.sigma_v_sq = None

@@ -6,12 +6,18 @@ from hypothesis import strategies as st
 from cmtmimo import blind, kernels
 
 
+def _track(w, x, start, count, mu, eps, r, normalized, s_out=None):
+    """``track_segment`` with the steps and factors built as ``run_packet`` does."""
+    eta = kernels.step_sizes(x, mu, eps, normalized)
+    kernels.track_segment(w, x, eta, kernels.block_factors(x, eta), start, count, r, s_out)
+
+
 def test_python_kernel_single_step_hand_oracle():
+    # ||x||^2 = 5, so the step is 2 * 0.1 / 5
     w = np.array([[1.0 + 0j, 0.0 + 0j]])
     x = np.array([[[2.0 + 0j, 1.0j]]])
-    norms = np.array([[5.0]])
     s_out = np.empty((1, 1))
-    kernels.track_segment(w, x, norms, 0, 1, 0.1, 0.0, 1.0, True, s_out)
+    _track(w, x, 0, 1, 0.1, 0.0, 1.0, True, s_out)
     assert s_out[0, 0] == 2.0
     assert np.allclose(w, [[0.92 + 0j, -0.04j]], atol=1e-15)
 
@@ -20,9 +26,8 @@ def test_python_kernel_decision_is_pre_update():
     # the logged decision must come from the weights before that update
     w = np.array([[1.0 + 0j]])
     x = np.array([[[3.0 + 0j]], [[3.0 + 0j]]])
-    norms = np.array([[9.0], [9.0]])
     s_out = np.empty((2, 1))
-    kernels.track_segment(w, x, norms, 0, 2, 0.1, 0.0, 1.0, True, s_out)
+    _track(w, x, 0, 2, 0.1, 0.0, 1.0, True, s_out)
     # first decision 3.0; then w -= (2*0.1/9) * sign(3) * (3-1) * 3
     assert s_out[0, 0] == 3.0
     assert s_out[1, 0] == pytest.approx((1.0 - 0.2 / 9.0 * 2.0 * 3.0) * 3.0, abs=1e-14)
@@ -68,12 +73,11 @@ def test_kernel_matches_blind_step(
         x[:, diverging] *= 1e155
         w0[diverging] = 1.0
         mu, normalized = max(mu, 0.1), False
-    norms = np.ascontiguousarray(np.einsum("ptn,ptn->pt", x, x.conj()).real)
 
     w = w0.copy()
     s_out = np.empty((count, trials))
     with np.errstate(over="ignore", invalid="ignore"):
-        kernels.track_segment(w, x, norms, start, count, mu, eps, r, normalized, s_out)
+        _track(w, x, start, count, mu, eps, r, normalized, s_out)
 
     for t in range(trials):
         state = blind.BlindTrackerState(w=w0[t].copy(), mu=mu, epsilon=eps, R=r)
@@ -95,8 +99,7 @@ def test_kernel_matches_blind_step(
 
 def _packet(rng, packet_len, trials, n):
     shape = (packet_len, trials, n)
-    x = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0 * n)
-    return x, np.ascontiguousarray(np.einsum("ptn,ptn->pt", x, x.conj()).real)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0 * n)
 
 
 @settings(max_examples=50, deadline=None)
@@ -110,14 +113,19 @@ def _packet(rng, packet_len, trials, n):
 )
 def test_block_factors_invert_each_block(seed, n, packet_len, trials, mu, normalized):
     # I + F[t, b] must be the inverse of I + tril(eta G, -1) on every block,
-    # with G the block's Gram matrix Re{x_i^H x_j}
+    # with G the block's Gram matrix Re{x_i^H x_j}, and the steps must be
+    # 2 mu / (x^H x + eps) (or 2 mu) for every trial and packet row
     rng = np.random.default_rng(seed)
-    x, norms = _packet(rng, packet_len, trials, n)
+    x = _packet(rng, packet_len, trials, n)
     eps = 1e-3
-    factors = kernels.block_factors(x, norms, mu, eps, normalized)
+    norms = np.einsum("ptn,ptn->pt", x, x.conj()).real
+    eta = 2.0 * mu / (norms + eps) if normalized else np.full(norms.shape, 2.0 * mu)
+    np.testing.assert_allclose(
+        kernels.step_sizes(x, mu, eps, normalized), eta.T, rtol=1e-12, atol=0.0
+    )
+    factors = kernels.block_factors(x, np.ascontiguousarray(eta.T))
     num_blocks = -(-packet_len // kernels.BLOCK)
     assert factors.shape == (trials, num_blocks, kernels.BLOCK, kernels.BLOCK)
-    eta = 2.0 * mu / (norms + eps) if normalized else np.full(norms.shape, 2.0 * mu)
     for t in range(trials):
         for b in range(num_blocks):
             rows = slice(b * kernels.BLOCK, min((b + 1) * kernels.BLOCK, packet_len))
@@ -135,15 +143,13 @@ def test_block_factors_rows_are_independent():
     # an overflowing unnormalized row must not leak into the other rows'
     # factors: each must equal the factors of its trial tracked alone
     rng = np.random.default_rng(5)
-    x, norms = _packet(rng, 2 * kernels.BLOCK + 7, 3, 6)
+    x = _packet(rng, 2 * kernels.BLOCK + 7, 3, 6)
     x[:, 1] *= 1e155
+    eta = kernels.step_sizes(x, 0.1, 0.0, False)
     with np.errstate(over="ignore", invalid="ignore"):
-        norms[:, 1] = np.einsum("pn,pn->p", x[:, 1], x[:, 1].conj()).real
-        factors = kernels.block_factors(x, norms, 0.1, 0.0, False)
+        factors = kernels.block_factors(x, eta)
         for t in range(3):
-            alone = kernels.block_factors(
-                np.ascontiguousarray(x[:, t : t + 1]), norms[:, t : t + 1], 0.1, 0.0, False
-            )
+            alone = kernels.block_factors(np.ascontiguousarray(x[:, t : t + 1]), eta[t : t + 1])
             if t == 1:
                 assert not np.all(np.isfinite(factors[t]))
             else:
