@@ -7,11 +7,22 @@ built directly from its spawn key.  So trials are independent, a trial's
 stream does not depend on how many trials run, and reruns are
 byte-identical.  Experiments work on one representative subcarrier; the
 per-subcarrier model is independent across subcarriers.
+
+``run_fig3`` and ``run_eye`` each open one thread pool of ``WORKERS``
+threads for the run.  Its workers do the per-trial work: assembling a
+trial's scenario and packet and, in ``run_fig3``, scoring its probe
+block.  Between those stages the main thread runs the batched tracking
+kernel on the whole group.  A task touches only its own trial's
+generator, in the order a serial loop would, and results come back in
+trial order, so the CSV bytes do not depend on the number of workers.
+The generator fills, GEMMs and LAPACK solves of that work release the
+GIL, so the workers run in parallel.
 """
 
 from __future__ import annotations
 
 import os
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,6 +269,11 @@ def _probe_schedule(config: ExperimentConfig, total: int) -> list[int]:
 # 1000 x 128 complex packet.  Wider batches add memory, not speed.
 GROUP_BYTES = 40 * 2**20
 
+# Threads that assemble and score trials: one per CPU this process may run on.
+WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+
 
 def _trial_groups(config: ExperimentConfig) -> list[range]:
     """Consecutive trial ranges whose packet stacks fit in ``GROUP_BYTES``."""
@@ -272,26 +288,30 @@ def _track_group(
     trials: range,
     sigma_q: float,
     passes: int,
+    pool: Executor,
     snapshots=(),
     collect_decisions: bool = False,
 ) -> tuple[list[TrialScenario], np.ndarray, np.ndarray | None]:
-    """Assemble a group of trials, then track them as one batch.
+    """Assemble a group of trials on ``pool``, then track them as one batch.
 
-    Each trial's scenario and packet come from its own generator, which is
-    left right after the packet: the trial's probe block comes from there.
-    The (P, T, N) packet stack lives only while the group is tracked.
-    Returns the scenarios plus the weight snapshots and decisions of
-    ``blind.run_packet``.
+    Each pool task builds one trial's scenario from its own generator,
+    draws its packet into the trial's column of the (P, T, N) packet stack
+    and returns the scenario; the generator is left right after the
+    packet, where the trial's probe block comes from.  The stack lives
+    only while the group is tracked, which runs on the calling thread.
+    Returns the scenarios in trial order plus the weight snapshots and
+    decisions of ``blind.run_packet``.
     """
     packet_len = config.blind.packet_len
     packets = np.empty((packet_len, len(trials), config.channel.num_antennas), dtype=complex)
-    scens = []
-    for t, trial in enumerate(trials):
-        rng = trial_rng(config.run.master_seed, trial)
+
+    def assemble(t: int) -> TrialScenario:
+        rng = trial_rng(config.run.master_seed, trials[t])
         scen = build_scenario(config, rng, sigma_q)
-        x, _ = scen.draw_block(packet_len)
-        packets[:, t] = x
-        scens.append(scen)
+        packets[:, t] = scen.draw_block(packet_len)[0]
+        return scen
+
+    scens = list(pool.map(assemble, range(len(trials))))
     weights, decisions = blind.run_packet(
         initial_state(config, scens),
         packets,
@@ -308,13 +328,14 @@ def run_fig3(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     """SINR-trajectory experiment; writes trajectory.csv and summary.csv.
 
     Trials run in groups of ``_trial_groups``, each in three stages:
-    assemble every trial's scenario and packet; track the whole group over
-    its cyclically reused packets, keeping the weights at every point of
-    the probe schedule; then, one trial at a time, draw its held-out
-    block, measure the three reference levels and the SINR of each kept
-    weight vector on it with one ``probe_sinrs`` call, and record the
-    crossing of the MF-perfect level plus the final gap to MMSE.  Only one
-    probe block is alive at a time.
+    assemble every trial's scenario and packet on the run's thread pool;
+    track the whole group over its cyclically reused packets, keeping the
+    weights at every point of the probe schedule; then score on the pool,
+    one task per trial: draw the trial's held-out block, and measure the
+    three reference levels and the SINR of each kept weight vector on it
+    with one ``probe_sinrs`` call.  The main thread turns the SINR rows,
+    in trial order, into the crossing of the MF-perfect level and the
+    final gap to MMSE.  One probe block per worker is alive at a time.
 
     Returns the output paths and the per-trial trajectories.
     """
@@ -325,32 +346,37 @@ def run_fig3(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     traj_rows = []
     summary_rows = []
     trajectories = []
-    for trials in _trial_groups(config):
-        scens, weights, _ = _track_group(
-            config, trials, sigma_q, config.blind.passes, snapshots=schedule
-        )
-        for t, (trial, scen) in enumerate(zip(trials, scens)):
-            x_probe, s_probe = scen.draw_block(config.blind.probe_symbols)
-            refs = [w.w for w in reference_weights(scen, config)]
-            sinrs = probe_sinrs(np.vstack(refs + [weights[:, t]]), x_probe, s_probe)
-            level_mf, level_mmse, level_contam = sinrs[:3].tolist()
-            trajectory = list(zip(schedule, sinrs[3:].tolist()))
-            trajectories.append(
-                {
-                    "trial": trial,
-                    "trajectory": trajectory,
-                    "mf": level_mf,
-                    "mmse": level_mmse,
-                    "contam": level_contam,
-                }
+    with ThreadPoolExecutor(WORKERS) as pool:
+        for trials in _trial_groups(config):
+            scens, weights, _ = _track_group(
+                config, trials, sigma_q, config.blind.passes, pool, snapshots=schedule
             )
-            for iteration, sinr in trajectory:
-                traj_rows.append(
-                    (trial, iteration, sinr, level_mf, level_mmse, level_contam)
+
+            def score(t: int) -> np.ndarray:
+                scen = scens[t]
+                x_probe, s_probe = scen.draw_block(config.blind.probe_symbols)
+                refs = [w.w for w in reference_weights(scen, config)]
+                return probe_sinrs(np.vstack(refs + [weights[:, t]]), x_probe, s_probe)
+
+            for trial, sinrs in zip(trials, pool.map(score, range(len(trials)))):
+                level_mf, level_mmse, level_contam = sinrs[:3].tolist()
+                trajectory = list(zip(schedule, sinrs[3:].tolist()))
+                trajectories.append(
+                    {
+                        "trial": trial,
+                        "trajectory": trajectory,
+                        "mf": level_mf,
+                        "mmse": level_mmse,
+                        "contam": level_contam,
+                    }
                 )
-            crossing = next((it for it, v in trajectory if v >= level_mf), -1)
-            final = trajectory[-1][1]
-            summary_rows.append((trial, crossing, final, level_mmse - final))
+                for iteration, sinr in trajectory:
+                    traj_rows.append(
+                        (trial, iteration, sinr, level_mf, level_mmse, level_contam)
+                    )
+                crossing = next((it for it, v in trajectory if v >= level_mf), -1)
+                final = trajectory[-1][1]
+                summary_rows.append((trial, crossing, final, level_mmse - final))
 
     traj_path = os.path.join(out_dir, "trajectory.csv")
     summary_path = os.path.join(out_dir, "summary.csv")
@@ -367,8 +393,9 @@ def run_eye(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     """Eye-pattern experiment; writes eye.csv and eye_opening.csv.
 
     Pre-decision outputs s_hat are collected during adaptation, for a
-    group of trials at a time, and split into equal iteration buckets
-    (labeled by their start iteration).  The per-bucket eye opening is
+    group of trials at a time (assembled on the run's thread pool), and
+    split into iteration buckets b * total // num_buckets (labeled by
+    their start iteration).  The per-bucket eye opening is
     min |s_hat| over all decisions in the bucket (the closest approach to
     the decision threshold, as read off a classic eye diagram); eye.csv
     logs up to ``eye.samples_per_bucket`` samples per bucket for plotting.
@@ -376,15 +403,19 @@ def run_eye(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     out_dir = out_dir or config.run.out_dir
     passes = -(-config.eye.updates // config.blind.packet_len)
     total = passes * config.blind.packet_len
-    if total < config.eye.num_buckets:
+    num_buckets = config.eye.num_buckets
+    if total < num_buckets:
         raise ValueError("eye.updates must provide at least one decision per bucket")
-    bounds = np.linspace(0, total, config.eye.num_buckets + 1).astype(int)
+    bounds = np.arange(num_buckets + 1) * total // num_buckets
     sigma_q = float(np.sqrt(resolve_sigma_q_sq(config)))
     num_trials = config.run.num_trials
     decisions = np.empty((num_trials, total))
-    for trials in _trial_groups(config):
-        _, _, group = _track_group(config, trials, sigma_q, passes, collect_decisions=True)
-        decisions[trials.start : trials.stop] = group.T
+    with ThreadPoolExecutor(WORKERS) as pool:
+        for trials in _trial_groups(config):
+            _, _, group = _track_group(
+                config, trials, sigma_q, passes, pool, collect_decisions=True
+            )
+            decisions[trials.start : trials.stop] = group.T
     openings = np.minimum.reduceat(np.abs(decisions), bounds[:-1], axis=1)
 
     spb = config.eye.samples_per_bucket

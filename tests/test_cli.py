@@ -1,7 +1,8 @@
 import re
 import statistics
+import threading
 
-from cmtmimo import cli, verify
+from cmtmimo import cli, harness, verify
 
 
 def test_parser_knows_all_subcommands():
@@ -150,6 +151,32 @@ def test_divergence_exits_one_without_csv(tmp_path, capsys):
     assert re.search(r"weights of trial [01] are non-finite at iteration \d+", err)
     assert err.count("\n") == 1
     assert not any(tmp_path.iterdir())
+
+
+def test_worker_error_exits_two_and_leaves_no_thread(tmp_path, capsys, monkeypatch):
+    # a ValueError raised inside a pool worker reaches main as one line;
+    # every run, failed or not, joins its worker threads before returning
+    monkeypatch.setattr(harness, "WORKERS", 3)
+    before = threading.active_count()
+    for command in ("simulate", "eye"):
+        assert cli.main([command, *small_args(tmp_path / "ok")]) == 0
+        assert threading.active_count() == before
+    capsys.readouterr()
+
+    build = harness.build_scenario
+
+    def failing(config, rng, sigma_q):
+        if rng.bit_generator.seed_seq.spawn_key == (1,):
+            raise ValueError("planted failure in trial 1")
+        return build(config, rng, sigma_q)
+
+    monkeypatch.setattr(harness, "build_scenario", failing)
+    for command in ("simulate", "eye"):
+        rc = cli.main([command, *small_args(tmp_path / "bad")])
+        assert rc == 2
+        assert capsys.readouterr().err == "cmtmimo: error: planted failure in trial 1\n"
+        assert threading.active_count() == before
+    assert not (tmp_path / "bad").exists()
 
 
 def test_flag_overrides_apply_after_file(tmp_path):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,6 +172,27 @@ def test_csv_bytes_do_not_depend_on_group_width(tmp_path, monkeypatch):
         ).read_bytes(), name
 
 
+def test_csv_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
+    # a pool of one and a pool wider than the group write the same bytes:
+    # each task draws only from its own trial's generator, and the rows
+    # come back in trial order; a short switch interval interleaves the
+    # workers as finely as the interpreter allows
+    cfg = tiny_config(trials=3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 3):
+            monkeypatch.setattr(harness, "WORKERS", workers)
+            harness.run_fig3(cfg, str(tmp_path / str(workers)))
+            harness.run_eye(cfg, str(tmp_path / str(workers)))
+    finally:
+        sys.setswitchinterval(interval)
+    for name in ("trajectory.csv", "summary.csv", "eye.csv", "eye_opening.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (
+            tmp_path / "3" / name
+        ).read_bytes(), name
+
+
 def test_trial_rows_do_not_depend_on_num_trials(tmp_path):
     runs = {}
     for trials in (2, 3):
@@ -208,6 +231,18 @@ def test_run_eye_outputs(tmp_path):
     assert result["openings"].shape == (cfg.run.num_trials, cfg.eye.num_buckets)
     buckets = {int(r.split(",")[0]) for r in eye[1:]}
     assert buckets == {0, 50, 100, 150}
+
+
+def test_eye_bucket_bounds_are_exact(tmp_path):
+    # 1000 updates in 38 buckets: bucket b starts at b * 1000 // 38, with no
+    # bound floored from an inexact float (bucket 19 starts at 500, not 499)
+    cfg = tiny_config()
+    cfg.eye.updates = 1000
+    cfg.eye.num_buckets = 38
+    harness.run_eye(cfg, str(tmp_path))
+    rows = (tmp_path / "eye_opening.csv").read_text().splitlines()[1:]
+    labels = [int(row.split(",")[1]) for row in rows if row.startswith("0,")]
+    assert labels == [b * 1000 // 38 for b in range(38)]
 
 
 def test_run_eye_rejects_empty_buckets():

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import cmtmimo
 
 
@@ -9,3 +13,24 @@ def test_all_names_resolve_and_none_repeats():
     exec("from cmtmimo import *", namespace)
     for name in names:
         assert namespace[name] is getattr(cmtmimo, name)
+
+
+def test_import_starts_no_thread():
+    # the harness opens its worker pool per run, never at import
+    src = os.path.dirname(os.path.dirname(cmtmimo.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import threading\n"
+        "import cmtmimo, cmtmimo.cli\n"
+        "print(cmtmimo.__file__)\n"
+        "print([t.name for t in threading.enumerate()])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout.splitlines()
+    assert out == [cmtmimo.__file__, "['MainThread']"]
