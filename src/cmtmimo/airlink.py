@@ -40,14 +40,11 @@ class PilotBook:
 
 @dataclass(frozen=True)
 class ChannelEstimate:
-    """Estimated in-cell channel matrix and the mode that produced it."""
+    """Estimated in-cell channel matrix, shape (N, K)."""
 
     H_hat: np.ndarray
-    mode: str
 
     def __post_init__(self) -> None:
-        if self.mode not in ("direct", "correlate"):
-            raise ValueError("mode must be 'direct' or 'correlate'")
         if not np.all(np.isfinite(self.H_hat)):
             raise ValueError("estimate contains non-finite entries")
 
@@ -145,7 +142,7 @@ def estimate_channels_direct(
     gains = topology.gains_at(j)  # (M, K)
     h_hat = np.einsum("mnk,mk->nk", h_stack[:, j], gains.astype(complex))
     _add_complex_noise(h_hat, noise_var / pilot_len, rng)
-    return ChannelEstimate(H_hat=h_hat, mode="direct")
+    return ChannelEstimate(H_hat=h_hat)
 
 
 def estimate_channels_correlate(
@@ -168,7 +165,7 @@ def estimate_channels_correlate(
     if frames.ndim != 2 or frames.shape[0] != tau:
         raise ValueError(f"pilot_frames must have shape ({tau}, N)")
     h_hat = frames.T @ pilots.sequences.conj().T / tau  # (N, K)
-    return ChannelEstimate(H_hat=h_hat, mode="correlate")
+    return ChannelEstimate(H_hat=h_hat)
 
 
 def send_pilots(

@@ -3,9 +3,10 @@
 Real PAM frames ride on vestigial-sideband subcarriers spaced at the symbol
 rate; adjacent subcarriers are phase-toggled by i**k so that, after matched
 filtering and real-part extraction, inter-symbol and inter-carrier leakage
-lands entirely in the imaginary part (the intrinsic interference q).  This
-module runs single-antenna loopback only; the array experiments use the
-abstract per-subcarrier model with sigma_q calibrated here.
+lands entirely in the imaginary part (the intrinsic interference q); the
+``verify`` check ``cmt.perfect_reconstruction`` fails without the toggle.
+This module runs single-antenna loopback only; the array experiments use
+the abstract per-subcarrier model with sigma_q calibrated here.
 
 Synthesis is critically sampled at L samples per symbol period.  The
 carrier e^{j2 pi k n / L} has period L, so both directions run in the
@@ -126,10 +127,8 @@ def design_prototype(config: CmtConfig) -> PrototypeFilter:
     return PrototypeFilter(coefficients=g)
 
 
-def _toggle(config: CmtConfig, phase_toggle: bool) -> np.ndarray:
-    """Per-subcarrier phase factors i**k (all ones with the toggle off)."""
-    if not phase_toggle:
-        return np.ones(config.num_subcarriers, dtype=complex)
+def _toggle(config: CmtConfig) -> np.ndarray:
+    """Per-subcarrier phase factors i**k."""
     return np.array([1, 1j, -1, -1j])[np.arange(config.num_subcarriers) % 4]
 
 
@@ -150,7 +149,6 @@ def cmt_synthesize(
     pam_frames: np.ndarray,
     config: CmtConfig,
     proto: PrototypeFilter,
-    phase_toggle: bool = True,
 ) -> np.ndarray:
     """Modulate real PAM frames onto all L subcarriers.
 
@@ -162,9 +160,6 @@ def cmt_synthesize(
     ----------
     pam_frames : ndarray, shape (L, num_symbols)
         Row k holds subcarrier k's PAM stream.
-    phase_toggle : bool
-        Apply the i**k toggle between adjacent subcarriers.  Disabling it
-        breaks the real/imaginary separation; exposed for validation only.
 
     Returns
     -------
@@ -176,7 +171,7 @@ def cmt_synthesize(
         raise ValueError(f"pam_frames must have shape ({L}, num_symbols)")
     num_symbols = frames.shape[1]
     # row n: sum_k i**k a_k[n] e^{j2 pi k r / L} for r = 0..L-1
-    spectra = L * np.fft.ifft(frames * _toggle(config, phase_toggle)[:, None], axis=0).T
+    spectra = L * np.fft.ifft(frames * _toggle(config)[:, None], axis=0).T
     phases = _polyphase(proto.coefficients, config)
     out = np.zeros((num_symbols + config.overlap_factor, L), dtype=complex)
     for q, taps in enumerate(phases):
@@ -188,8 +183,7 @@ def cmt_demodulate(
     samples: np.ndarray,
     config: CmtConfig,
     proto: PrototypeFilter,
-    phase_toggle: bool = True,
-    num_symbols: int | None = None,
+    num_symbols: int,
 ) -> np.ndarray:
     """Demodulate every subcarrier: down-convert and matched-filter.
 
@@ -208,10 +202,8 @@ def cmt_demodulate(
     samples = np.asarray(samples)
     L = config.num_subcarriers
     overlap = config.overlap_factor
-    if num_symbols is None:
-        num_symbols = samples.size // L - overlap
     if num_symbols < 1:
-        raise ValueError("sample stream too short for one symbol")
+        raise ValueError(f"num_symbols must be >= 1 (got {num_symbols})")
     # decision n reads samples nL .. nL + overlap*L against the reversed prototype
     blocks = np.zeros(((num_symbols + overlap) * L), dtype=complex)
     used = min(samples.size, blocks.size)
@@ -222,7 +214,7 @@ def cmt_demodulate(
     for q, taps in enumerate(phases):
         filtered += taps * blocks[q : q + num_symbols]
     spectra = np.fft.fft(filtered, axis=1)
-    return spectra.T * np.conj(_toggle(config, phase_toggle))[:, None]
+    return spectra.T * np.conj(_toggle(config))[:, None]
 
 
 def _random_multipath(config: CmtConfig, rng: np.random.Generator) -> np.ndarray:

@@ -19,11 +19,8 @@ class CombinerWeights:
     """Weight vector of one user's combiner."""
 
     w: np.ndarray
-    kind: str
 
     def __post_init__(self) -> None:
-        if self.kind not in ("MF", "MMSE", "blind"):
-            raise ValueError("kind must be 'MF', 'MMSE' or 'blind'")
         if not np.all(np.isfinite(self.w)):
             raise ValueError("weights must be finite")
         if np.linalg.norm(self.w) == 0.0:
@@ -36,7 +33,7 @@ def mf_weights(h: np.ndarray) -> CombinerWeights:
     energy = np.real(np.vdot(h, h))
     if energy == 0.0:
         raise ValueError("cannot build MF weights from a zero channel vector")
-    return CombinerWeights(w=h / energy, kind="MF")
+    return CombinerWeights(w=h / energy)
 
 
 def mmse_weights(
@@ -83,6 +80,6 @@ def mmse_weights(
         scale = np.real(np.vdot(w, h_own[:, l]))
         if scale == 0.0:
             raise ValueError(f"MMSE weights for user {l} are orthogonal to the channel")
-        out.append(CombinerWeights(w=w / scale, kind="MMSE"))
+        out.append(CombinerWeights(w=w / scale))
     return out
 

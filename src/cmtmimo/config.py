@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
+from . import topology
 from .blind import PamAlphabet
 from .channel import PowerDelayProfile
 from .cmt import CmtConfig
@@ -128,6 +129,12 @@ class ExperimentConfig:
             rolloff=self.cmt.rolloff,
         )
 
+    def explicit_topology(self) -> topology.CellTopology | None:
+        """The topology pinned by ``topology.explicit_gains``, or None if unset."""
+        if self.topology.explicit_gains is None:
+            return None
+        return topology.explicit_topology(self.topology.explicit_gains)
+
     def blind_epsilon(self) -> float:
         if self.blind.epsilon is not None:
             return self.blind.epsilon
@@ -149,6 +156,8 @@ def _assign(section, key: str, value, path: str) -> None:
         for sub_key, sub_value in value.items():
             _assign(current, str(sub_key), sub_value, f"{path}.{sub_key}")
         return
+    if isinstance(value, dict):
+        raise ValueError(f"config key '{path}' is not a section")
     if isinstance(value, bool):
         if not isinstance(current, bool):
             raise ValueError(f"config key '{path}' does not take a boolean")
@@ -167,6 +176,19 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     """Check every cross-field constraint; raises naming the key and its bound."""
     topo, ch, cm, sig = config.topology, config.channel, config.cmt, config.signaling
     noise, pilot, b, eye = config.noise, config.pilot, config.blind, config.eye
+    for path, build in (
+        ("signaling.pam_levels", config.alphabet),
+        ("channel.pdp_delays_us/pdp_powers_db", config.pdp),
+        ("topology.explicit_gains", config.explicit_topology),
+    ):
+        try:
+            build()
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    explicit = config.explicit_topology()
+    users_key, users = "topology.users_per_cell", topo.users_per_cell
+    if explicit is not None:
+        users_key, users = "the users per cell of topology.explicit_gains", explicit.users_per_cell
     checks = [
         ("topology.num_cells", topo.num_cells >= 1, ">= 1"),
         ("topology.users_per_cell", topo.users_per_cell >= 1, ">= 1"),
@@ -203,11 +225,7 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
             "finite or +inf",
         ),
         ("noise.sigma_v_sq", noise.sigma_v_sq is None or noise.sigma_v_sq >= 0.0, "null or >= 0"),
-        (
-            "pilot.pilot_len",
-            pilot.pilot_len >= topo.users_per_cell,
-            f">= topology.users_per_cell = {topo.users_per_cell}",
-        ),
+        ("pilot.pilot_len", pilot.pilot_len >= users, f">= {users_key} = {users}"),
         ("pilot.estimator", pilot.estimator in ("direct", "correlate"), "'direct' or 'correlate'"),
         ("blind.mu", b.mu >= 0.0, ">= 0"),
         # the normalized (NLMS) step 2 mu must stay below 2 to converge
@@ -217,9 +235,15 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         ("blind.packet_len", b.packet_len >= 1, ">= 1"),
         ("blind.passes", b.passes >= 1, ">= 1"),
         ("blind.probe_symbols", b.probe_symbols >= 1000, ">= 1000"),
+        ("blind.probe_dense_every", b.probe_dense_every >= 1, ">= 1"),
+        ("blind.probe_dense_until", b.probe_dense_until >= 0, ">= 0"),
+        ("blind.probe_mid_every", b.probe_mid_every >= 1, ">= 1"),
+        ("blind.probe_mid_until", b.probe_mid_until >= 0, ">= 0"),
+        ("blind.probe_sparse_every", b.probe_sparse_every >= 1, ">= 1"),
         ("eye.updates", eye.updates >= 1, ">= 1"),
         ("eye.num_buckets", eye.num_buckets >= 2, ">= 2"),
         ("eye.samples_per_bucket", eye.samples_per_bucket >= 1, ">= 1"),
+        ("run.master_seed", config.run.master_seed >= 0, ">= 0"),
         ("run.num_trials", config.run.num_trials >= 1, ">= 1"),
     ]
     for path, ok, bound in checks:
@@ -227,14 +251,6 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
             section, key = path.split(".")
             value = getattr(getattr(config, section), key)
             raise ValueError(f"{path} must be {bound} (got {value!r})")
-    for path, build in (
-        ("signaling.pam_levels", config.alphabet),
-        ("channel.pdp_delays_us/pdp_powers_db", config.pdp),
-    ):
-        try:
-            build()
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
     return config
 
 
@@ -271,12 +287,9 @@ def assign_override(config: ExperimentConfig, spec: str) -> ExperimentConfig:
     parts = dotted.strip().split(".")
     if not all(parts):
         raise ValueError(f"override '{spec}' has an empty path component")
+    # a.b.c=v is the YAML mapping {a: {b: {c: v}}}
     value = yaml.safe_load(raw)
-    target = config
-    for part in parts[:-1]:
-        names = {f.name for f in dataclasses.fields(target)}
-        if part not in names or not dataclasses.is_dataclass(getattr(target, part)):
-            raise ValueError(f"unknown config section '{'.'.join(parts[:-1])}'")
-        target = getattr(target, part)
-    _assign(target, parts[-1], value, dotted.strip())
+    for part in reversed(parts[1:]):
+        value = {part: value}
+    _assign(config, parts[0], value, parts[0])
     return config

@@ -143,9 +143,8 @@ def build_scenario(
     once per run because it does not depend on the trial.
     """
     topo_cfg = config.topology
-    if topo_cfg.explicit_gains is not None:
-        topo = topology.explicit_topology(np.asarray(topo_cfg.explicit_gains, dtype=float))
-    else:
+    topo = config.explicit_topology()
+    if topo is None:
         topo = topology.build_topology(
             topo_cfg.num_cells,
             topo_cfg.users_per_cell,

@@ -2,8 +2,9 @@
 
 Each check is small enough to run on every commit; together they pin the
 identities and statistical properties the experiments rely on, through
-the same functions the experiments call.  This is the only desk-scale
-copy of each invariant: the unit tests run every check as its own item.
+the same functions the experiments call.  The unit tests run each check
+as its own item; acceptance criteria 1, 2 and 8 re-check four of them
+(MF identity, direct/correlate agreement, gradient at N = 8, determinism).
 The CLI ``verify`` subcommand prints one row per check with wall-clock
 time and exits nonzero on any failure.
 """
@@ -100,14 +101,11 @@ def _check_cmt_reconstruction(seed):
     frames = rng.choice([-1.0, 1.0], size=(32, num_frames))
     x = cmt.cmt_synthesize(frames, cfg, proto)
     interior = slice(cfg.overlap_factor, num_frames - cfg.overlap_factor)
-    x_off = cmt.cmt_synthesize(frames, cfg, proto, phase_toggle=False)
     y = cmt.cmt_demodulate(x, cfg, proto, num_symbols=num_frames)
-    y_off = cmt.cmt_demodulate(x_off, cfg, proto, phase_toggle=False, num_symbols=num_frames)
+    # without the i**k toggle the leakage reaches the real part: MSE ~ 0.05
     mse = np.mean((y.real - frames)[:, interior] ** 2)
-    mse_off = np.mean((y_off.real - frames)[:, interior] ** 2)
     assert mse < 1e-4, f"loopback MSE {mse:.2e}"
-    assert mse_off > 10.0 * mse, f"toggle-off ratio only {mse_off / mse:.1f}x"
-    return f"MSE {mse:.1e}, toggle-off ratio {mse_off / mse:.0f}x"
+    return f"MSE {mse:.1e}"
 
 
 def _check_cmt_gaussianity(seed):
@@ -146,7 +144,6 @@ def _check_airlink_mode_equivalence(seed):
     frames = airlink.send_pilots(topo, stack, 0, pilots, 0.0, np.random.default_rng(0))
     assert frames.shape == (tau, stack.shape[2]), f"pilot frames {frames.shape}"
     correlate = airlink.estimate_channels_correlate(pilots, frames)
-    assert (direct.mode, correlate.mode) == ("direct", "correlate"), "estimate modes"
     rel = np.max(np.abs(direct.H_hat - correlate.H_hat)) / np.max(np.abs(direct.H_hat))
     assert rel < 1e-10, f"mode disagreement {rel:.2e}"
     return f"direct vs correlate within {rel:.1e}"
@@ -190,7 +187,6 @@ def _check_combine_mf_identity(seed):
     for _ in range(50):
         h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         weights = combine.mf_weights(h)
-        assert weights.kind == "MF", f"kind {weights.kind!r}"
         assert abs(np.vdot(weights.w, h) - 1.0) < 1e-12, "w^H h != 1"
     return "w^H h = 1 to 1e-12 on 50 random vectors"
 

@@ -181,7 +181,6 @@ def test_direct_estimate_noiseless_decomposition():
     for m in (1, 2):
         expected = expected + topo.cross_gain[m, 0, :][None, :] * stack[m, 0]
     assert np.allclose(est.H_hat, expected, atol=1e-12)
-    assert est.mode == "direct"
 
 
 def test_direct_estimate_noise_level():

@@ -121,6 +121,19 @@ def test_bad_override_raises(tmp_path, capsys):
             "simulate --override blind.mu=3",
             "blind.mu must be < 1 when blind.normalized is true (got 3.0)",
         ),
+        ("simulate --override blind.probe_dense_every=0", "blind.probe_dense_every must be >= 1"),
+        ("simulate --override blind.probe_mid_every=-5", "blind.probe_mid_every must be >= 1"),
+        ("simulate --seed -1", "run.master_seed must be >= 0 (got -1)"),
+        # a bad explicit tensor is named before any trial is assembled
+        (
+            "simulate --override topology.explicit_gains=[[1.0]]",
+            "topology.explicit_gains: cross_gain must have shape (M, M, K)",
+        ),
+        (
+            "simulate --override topology.explicit_gains=[[[1.0,1.0]]]"
+            " --override pilot.pilot_len=1",
+            "pilot.pilot_len must be >= the users per cell of topology.explicit_gains = 2",
+        ),
         # 416 interior symbols x 100 subcarriers is below the sample floor
         (
             "gaussianity --override channel.num_subcarriers=100"

@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 from cmtmimo import cmt
 
 
-def _carrier(cfg, k, num_samples, phase_toggle):
+def _carrier(cfg, k, num_samples):
+    """Subcarrier k's phase-toggled carrier i**k e^{j2 pi k n / L}."""
     # k * n is reduced mod L in integers so the phase stays exact for long streams
     n = np.arange(num_samples)
-    c = np.exp(2j * np.pi * (k * n % cfg.num_subcarriers) / cfg.num_subcarriers)
-    return c * (1j**k) if phase_toggle else c
+    return (1j**k) * np.exp(2j * np.pi * (k * n % cfg.num_subcarriers) / cfg.num_subcarriers)
 
 
-def direct_synthesize(frames, cfg, proto, phase_toggle=True):
+def direct_synthesize(frames, cfg, proto):
     """Direct-form oracle: upsample, filter and up-convert each subcarrier."""
     L = cfg.num_subcarriers
     num_symbols = frames.shape[1]
@@ -22,14 +22,14 @@ def direct_synthesize(frames, cfg, proto, phase_toggle=True):
         upsampled = np.zeros((num_symbols - 1) * L + 1)
         upsampled[::L] = frames[k]
         stream = np.convolve(upsampled, proto.coefficients)
-        out[: stream.size] += stream * _carrier(cfg, k, stream.size, phase_toggle)
+        out[: stream.size] += stream * _carrier(cfg, k, stream.size)
     return out
 
 
-def direct_demodulate(samples, k, cfg, proto, num_symbols, phase_toggle=True):
+def direct_demodulate(samples, k, cfg, proto, num_symbols):
     """Direct-form oracle: down-convert subcarrier k, matched-filter, sample."""
     L = cfg.num_subcarriers
-    down = samples * np.conj(_carrier(cfg, k, samples.size, phase_toggle))
+    down = samples * np.conj(_carrier(cfg, k, samples.size))
     filtered = np.convolve(down, proto.coefficients)
     return filtered[cfg.overlap_factor * L + np.arange(num_symbols) * L]
 
@@ -188,12 +188,11 @@ def test_measure_intrinsic_stats_rejects_short_runs():
     num_subcarriers=st.integers(2, 40),
     overlap=st.integers(4, 12),
     num_symbols=st.integers(1, 12),
-    phase_toggle=st.booleans(),
     silent_fraction=st.sampled_from([0.0, 0.5, 1.0]),
     scale=st.sampled_from([1e-3, 1.0, 1e3]),
 )
 def test_polyphase_matches_direct_form(
-    seed, num_subcarriers, overlap, num_symbols, phase_toggle, silent_fraction, scale
+    seed, num_subcarriers, overlap, num_symbols, silent_fraction, scale
 ):
     assume(num_subcarriers * overlap % 2 == 0)
     cfg = make_cfg(num_subcarriers=num_subcarriers, overlap=overlap)
@@ -203,8 +202,8 @@ def test_polyphase_matches_direct_form(
     frames[rng.random(num_subcarriers) < silent_fraction] = 0.0
     tol = 1e-12 * scale
 
-    x = cmt.cmt_synthesize(frames, cfg, proto, phase_toggle=phase_toggle)
-    x_direct = direct_synthesize(frames, cfg, proto, phase_toggle=phase_toggle)
+    x = cmt.cmt_synthesize(frames, cfg, proto)
+    x_direct = direct_synthesize(frames, cfg, proto)
     assert x.shape == x_direct.shape
     assert np.max(np.abs(x - x_direct)) <= tol
 
@@ -212,10 +211,8 @@ def test_polyphase_matches_direct_form(
     samples = x_direct + scale * (
         rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
     )
-    y = cmt.cmt_demodulate(samples, cfg, proto, phase_toggle=phase_toggle)
+    y = cmt.cmt_demodulate(samples, cfg, proto, num_symbols)
     assert y.shape == (num_subcarriers, num_symbols)
     for k in range(num_subcarriers):
-        y_direct = direct_demodulate(
-            samples, k, cfg, proto, num_symbols, phase_toggle=phase_toggle
-        )
+        y_direct = direct_demodulate(samples, k, cfg, proto, num_symbols)
         assert np.max(np.abs(y[k] - y_direct)) <= tol

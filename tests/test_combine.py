@@ -38,7 +38,6 @@ def test_mmse_reduces_to_mf_without_interference():
     )
     assert abs(cos - 1.0) < 1e-10
     assert np.real(np.vdot(w.w, h[:, 0])) == pytest.approx(1.0, abs=1e-12)
-    assert w.kind == "MMSE"
 
 
 def test_block_sinr_exact_construction():

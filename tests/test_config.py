@@ -78,6 +78,13 @@ def test_apply_override_rejects_malformed_input():
         apply_override(cfg, "blind.mu=fast")
     with pytest.raises(ValueError):
         apply_override(cfg, "blind.packet_len=12.5")
+    # overrides and YAML share one walker, so they fail with the same messages
+    with pytest.raises(ValueError, match="unknown config key 'chanel'"):
+        apply_override(cfg, "chanel.num_antennas=8")
+    with pytest.raises(ValueError, match="config key 'blind.mu' is not a section"):
+        apply_override(cfg, "blind.mu.x=1")
+    with pytest.raises(ValueError, match="config key 'topology.explicit_gains' is not a section"):
+        apply_override(cfg, "topology.explicit_gains.x=1")
 
 
 def test_normalized_step_must_stay_below_one():
@@ -118,6 +125,43 @@ def test_validation_rejects_inconsistent_configs():
     cfg.signaling.sigma_q_mode = "guess"
     with pytest.raises(ValueError, match="signaling.sigma_q_mode"):
         validate_config(cfg)
+
+    for section, key, value, message in [
+        ("blind", "probe_dense_every", 0, r"blind.probe_dense_every must be >= 1 \(got 0\)"),
+        ("blind", "probe_dense_until", -1, r"blind.probe_dense_until must be >= 0 \(got -1\)"),
+        ("blind", "probe_mid_every", -5, r"blind.probe_mid_every must be >= 1 \(got -5\)"),
+        ("blind", "probe_mid_until", -1, r"blind.probe_mid_until must be >= 0 \(got -1\)"),
+        ("blind", "probe_sparse_every", 0, r"blind.probe_sparse_every must be >= 1 \(got 0\)"),
+        ("run", "master_seed", -1, r"run.master_seed must be >= 0 \(got -1\)"),
+        (
+            "topology",
+            "explicit_gains",
+            [[1.0]],
+            r"topology.explicit_gains: cross_gain must have shape \(M, M, K\)",
+        ),
+        (
+            "topology",
+            "explicit_gains",
+            [[[1.0], [2.0]], [[0.5], [1.0]]],
+            r"topology.explicit_gains: cross-gains must lie in \[0, 1\]",
+        ),
+    ]:
+        cfg = load_config(None)
+        setattr(getattr(cfg, section), key, value)
+        with pytest.raises(ValueError, match=message):
+            validate_config(cfg)
+
+    # pilot_len must cover the explicit tensor's K, not the configured users_per_cell
+    cfg = load_config(None)
+    cfg.topology.explicit_gains = [[[1.0, 1.0]]]
+    cfg.pilot.pilot_len = 1
+    with pytest.raises(
+        ValueError,
+        match=r"pilot.pilot_len must be >= the users per cell of topology.explicit_gains = 2",
+    ):
+        validate_config(cfg)
+    cfg.pilot.pilot_len = 2
+    assert validate_config(cfg).explicit_topology().users_per_cell == 2
 
 
 def test_pilot_len_must_cover_users(tmp_path):

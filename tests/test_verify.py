@@ -11,7 +11,7 @@ SEED = load_config(None).run.master_seed  # the seed `cmtmimo verify` uses by de
     "check", [check for _, check in verify._CHECKS], ids=[name for name, _ in verify._CHECKS]
 )
 def test_check(check):
-    # each named check is the one desk-scale copy of its invariant
+    # each named check runs as its own test item
     check(SEED)
 
 
@@ -20,7 +20,7 @@ def test_suite_catches_a_planted_normalization_bug(monkeypatch):
     # normalization and the named identity check must go red
     def broken(h):
         h = np.asarray(h, dtype=complex)
-        return combine.CombinerWeights(w=h.copy(), kind="MF")  # missing 1/||h||^2
+        return combine.CombinerWeights(w=h.copy())  # missing 1/||h||^2
 
     monkeypatch.setattr(combine, "mf_weights", broken)
     with pytest.raises(AssertionError, match=r"w\^H h"):
