@@ -25,17 +25,20 @@ from .topology import CellTopology
 class PilotBook:
     """Mutually orthogonal pilot sequences, one per in-cell pilot index."""
 
-    sequences: np.ndarray
-    pilot_len: int
+    sequences: np.ndarray  # (K, pilot_len)
 
     def __post_init__(self) -> None:
         seqs = np.asarray(self.sequences, dtype=complex)
-        if seqs.ndim != 2 or seqs.shape[1] != self.pilot_len:
+        if seqs.ndim != 2:
             raise ValueError("sequences must have shape (K, pilot_len)")
         gram = seqs @ seqs.conj().T
-        if not np.allclose(gram, self.pilot_len * np.eye(seqs.shape[0]), atol=1e-9):
+        if not np.allclose(gram, seqs.shape[1] * np.eye(seqs.shape[0]), atol=1e-9):
             raise ValueError("pilot sequences must be mutually orthogonal")
         object.__setattr__(self, "sequences", seqs)
+
+    @property
+    def pilot_len(self) -> int:
+        return self.sequences.shape[1]
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,7 @@ def dft_pilot_book(num_users: int, pilot_len: int) -> PilotBook:
         )
     n = np.arange(pilot_len)
     rows = np.exp(2j * np.pi * np.outer(np.arange(num_users), n) / pilot_len)
-    return PilotBook(sequences=rows, pilot_len=pilot_len)
+    return PilotBook(sequences=rows)
 
 
 def _add_complex_noise(x: np.ndarray, var: float, rng: np.random.Generator) -> None:

@@ -7,14 +7,14 @@ needs no training data:
     y   = Re{w^H x}
     w  <- w - 2 mu / (x^H x + eps) * sign(y) * (|y| - R) * x
 
-where R is the dispersion constant of the PAM alphabet.  The decision
-variable is the real part of the combiner output (CMT decisions are real
-PAM), and the update is the instantaneous gradient of ((|y|^p) - R)^2 at
-p = 1; p only changes R.  ``blind_step`` is the one-update reference;
-``run_packet`` tracks one trial or a (T, N) batch of trials with the
-block-exact ``kernels.track_segment`` and hands back copies of the weights
-at requested iterations for the caller to score (the experiments use
-``harness.probe_sinrs``).
+where R = E[s^2] / E[|s|] is the dispersion constant of the PAM alphabet
+at p = 1.  The decision variable is the real part of the combiner output
+(CMT decisions are real PAM), and the update is the instantaneous
+gradient of the Godard p = 1 cost (|y| - R)^2.  ``blind_step`` is the
+one-update reference; ``run_packet`` tracks one trial or a (T, N) batch
+of trials with the block-exact ``kernels.track_segment`` and hands back
+copies of the weights at requested iterations for the caller to score
+(the experiments use ``harness.probe_sinrs``).
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ class PamAlphabet:
 
 
 def dispersion_constant(alphabet: PamAlphabet, p: int) -> float:
-    """Dispersion constant R = E[|s|^(2p)] / E[|s|^p]."""
+    """Dispersion constant R = E[|s|^(2p)] / E[|s|^p]; the tracker uses p = 1."""
     if p < 1:
         raise ValueError("p must be >= 1")
     denom = alphabet.moment(p)

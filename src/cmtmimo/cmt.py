@@ -14,6 +14,9 @@ standard filter-bank-multicarrier polyphase form (Siohan, Siclet & Lacroix,
 IEEE TSP 2002; Farhang-Boroujeny, IEEE SPM 2011): one L-point IFFT or FFT
 per symbol plus an (overlap_factor + 1)-tap filter along the symbol axis
 for each of the L phases of the prototype.
+
+The prototype is a function of ``CmtConfig`` alone, so the transforms
+take only the config and build it themselves (``design_prototype``).
 """
 
 from __future__ import annotations
@@ -57,21 +60,6 @@ class CmtConfig:
 
 
 @dataclass(frozen=True)
-class PrototypeFilter:
-    """Unit-energy linear-phase prototype."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coefficients, dtype=float)
-        if abs(np.sum(c * c) - 1.0) > 1e-12:
-            raise ValueError("prototype must have unit energy")
-        if np.max(np.abs(c - c[::-1])) > 1e-12:
-            raise ValueError("prototype must be even-symmetric")
-        object.__setattr__(self, "coefficients", c)
-
-
-@dataclass(frozen=True)
 class IntrinsicStats:
     """Loopback statistics of the intrinsic interference.
 
@@ -111,20 +99,21 @@ def _srrc(t: np.ndarray, beta: float) -> np.ndarray:
     return out
 
 
-def design_prototype(config: CmtConfig) -> PrototypeFilter:
+def design_prototype(config: CmtConfig) -> np.ndarray:
     """Square-root raised-cosine prototype sampled at L samples per symbol.
 
-    The filter spans ``overlap_factor`` symbol periods plus one sample so
-    its center falls on a sample and the even symmetry is exact; it is
-    normalized to unit energy.  Its self-convolution satisfies the Nyquist
-    zero-crossing property at nonzero integer symbol lags (how closely
-    depends on rolloff and overlap; see the invariant tests).
+    Returns the overlap_factor * L + 1 coefficients: the filter spans
+    ``overlap_factor`` symbol periods plus one sample so its center falls
+    on a sample and the even symmetry is exact.  It has unit energy.  Its
+    self-convolution satisfies the Nyquist zero-crossing property at
+    nonzero integer symbol lags (how closely depends on rolloff and
+    overlap; see the invariant tests).
     """
     span = config.overlap_factor * config.num_subcarriers
     idx = np.arange(span + 1)
     g = _srrc((idx - span // 2) / config.num_subcarriers, config.rolloff)
     g /= np.sqrt(np.sum(g * g))
-    return PrototypeFilter(coefficients=g)
+    return g
 
 
 def _toggle(config: CmtConfig) -> np.ndarray:
@@ -145,11 +134,7 @@ def _polyphase(coefficients: np.ndarray, config: CmtConfig) -> np.ndarray:
     return padded.reshape(rows, L)
 
 
-def cmt_synthesize(
-    pam_frames: np.ndarray,
-    config: CmtConfig,
-    proto: PrototypeFilter,
-) -> np.ndarray:
+def cmt_synthesize(pam_frames: np.ndarray, config: CmtConfig) -> np.ndarray:
     """Modulate real PAM frames onto all L subcarriers.
 
     Symbol n of every subcarrier goes through one L-point IFFT; sample
@@ -172,19 +157,14 @@ def cmt_synthesize(
     num_symbols = frames.shape[1]
     # row n: sum_k i**k a_k[n] e^{j2 pi k r / L} for r = 0..L-1
     spectra = L * np.fft.ifft(frames * _toggle(config)[:, None], axis=0).T
-    phases = _polyphase(proto.coefficients, config)
+    phases = _polyphase(design_prototype(config), config)
     out = np.zeros((num_symbols + config.overlap_factor, L), dtype=complex)
     for q, taps in enumerate(phases):
         out[q : q + num_symbols] += taps * spectra
     return out.ravel()
 
 
-def cmt_demodulate(
-    samples: np.ndarray,
-    config: CmtConfig,
-    proto: PrototypeFilter,
-    num_symbols: int,
-) -> np.ndarray:
+def cmt_demodulate(samples: np.ndarray, config: CmtConfig, num_symbols: int) -> np.ndarray:
     """Demodulate every subcarrier: down-convert and matched-filter.
 
     The matched filter is applied in polyphase form along the symbol axis,
@@ -209,7 +189,7 @@ def cmt_demodulate(
     used = min(samples.size, blocks.size)
     blocks[:used] = samples[:used]
     blocks = blocks.reshape(num_symbols + overlap, L)
-    phases = _polyphase(proto.coefficients[::-1], config)
+    phases = _polyphase(design_prototype(config)[::-1], config)
     filtered = np.zeros((num_symbols, L), dtype=complex)
     for q, taps in enumerate(phases):
         filtered += taps * blocks[q : q + num_symbols]
@@ -232,7 +212,6 @@ def _random_multipath(config: CmtConfig, rng: np.random.Generator) -> np.ndarray
 
 def measure_intrinsic_stats(
     config: CmtConfig,
-    proto: PrototypeFilter,
     rng: np.random.Generator,
     num_frames: int,
     min_samples: int = 100_000,
@@ -258,12 +237,12 @@ def measure_intrinsic_stats(
             f"symbols; need at least {min_samples}"
         )
     frames = rng.choice([-1.0, 1.0], size=(L, num_frames))
-    x = cmt_synthesize(frames, config, proto)
+    x = cmt_synthesize(frames, config)
     x_multipath = fftconvolve(x, _random_multipath(config, rng))[: x.size]
 
     interior = slice(edge, num_frames - edge)
-    y = cmt_demodulate(x, config, proto, num_symbols=num_frames)[:, interior]
-    y_mp = cmt_demodulate(x_multipath, config, proto, num_symbols=num_frames)[:, interior]
+    y = cmt_demodulate(x, config, num_symbols=num_frames)[:, interior]
+    y_mp = cmt_demodulate(x_multipath, config, num_symbols=num_frames)[:, interior]
     q = y.imag.ravel()
     u = y_mp.real.ravel()
     real_err = np.count_nonzero(np.sign(y.real) != frames[:, interior])

@@ -54,26 +54,26 @@ def mmse_weights(
     own_cell : int
         Index of the BS's own cell within the first axis.
     sigma_v_sq : float
-        Receive noise variance per complex entry.
+        Receive noise variance per complex entry, > 0: without the noise
+        term R_x has rank at most M K, so it is singular whenever M K < N.
     symbol_second_moment : float
         E|t|^2 of the transmitted symbols (PAM energy + sigma_q^2).
 
     Weights solve R_x w = h and are rescaled so Re{w^H h} = 1, with
     R_x = E|t|^2 sum_m H_mj A_mj^2 H_mj^H + sigma_v^2 I.
     """
+    if not sigma_v_sq > 0.0:
+        raise ValueError(
+            f"MMSE weights need a positive noise variance (got sigma_v_sq={sigma_v_sq}); "
+            "a noiseless run has no MMSE reference"
+        )
     h_mj = np.asarray(h_mj, dtype=complex)
     m_cells, n_ant, _ = h_mj.shape
     weighted = h_mj * np.asarray(gains, dtype=float)[:, None, :]  # columns h * alpha
     cov = symbol_second_moment * np.einsum("mnk,mpk->np", weighted, weighted.conj())
     cov += sigma_v_sq * np.eye(n_ant)
     h_own = h_mj[own_cell]
-    try:
-        solved = np.linalg.solve(cov, h_own)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"received covariance is singular (sigma_v_sq={sigma_v_sq}); "
-            "a positive noise variance is required"
-        ) from exc
+    solved = np.linalg.solve(cov, h_own)
     out = []
     for l in range(h_own.shape[1]):
         w = solved[:, l]

@@ -4,13 +4,19 @@ Defaults reproduce the 7-cell scenario: one interfering user per
 neighboring cell with cross-gains uniform on [0, 1], N = 128 antennas,
 L = 256 subcarriers over 5 MHz (19.531 kHz spacing), binary PAM, and a
 32 dB operating-point calibration.  Every field can be set from a YAML
-file or a dotted-path override; unknown keys are rejected with their
-full path.
+file or a dotted-path override; an unknown key, or a value that is not
+of the type the field is annotated with, is rejected with its full path.
+
+A value the code derives from other keys has no key of its own: the
+noise variance follows from ``noise.target_sinr_db``, and the tracker's
+regularizer and dispersion constant from the antenna count and the
+alphabet (see ``harness.calibrate_noise`` and ``harness.initial_state``).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,9 +67,8 @@ class SignalingSection:
 
 @dataclass
 class NoiseSection:
+    # perfect-CSI MF operating point that fixes the noise variance; +inf is noiseless
     target_sinr_db: float = 32.0
-    # explicit variance wins over the target when set
-    sigma_v_sq: float | None = None
 
 
 @dataclass
@@ -75,8 +80,6 @@ class PilotSection:
 @dataclass
 class BlindSection:
     mu: float = 0.05
-    epsilon: float | None = None  # default 1e-12 per tap at runtime
-    p: int = 1
     normalized: bool = True
     packet_len: int = 1000
     passes: int = 120
@@ -135,57 +138,53 @@ class ExperimentConfig:
             return None
         return topology.explicit_topology(self.topology.explicit_gains)
 
-    def blind_epsilon(self) -> float:
-        if self.blind.epsilon is not None:
-            return self.blind.epsilon
-        return 1e-12 * self.channel.num_antennas
 
-
-_INT_OK = (int, np.integer)
-_FLOAT_OK = (int, float, np.integer, np.floating)
+# the YAML values each annotated leaf type takes, and how its error names the type
+_LEAF_TYPES = {
+    bool: ((bool,), "a boolean"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    list: ((list,), "a list"),
+    list | None: ((list, type(None)), "a list or null"),
+}
 
 
 def _assign(section, key: str, value, path: str) -> None:
-    fields = {f.name: f for f in dataclasses.fields(section)}
-    if key not in fields:
+    kinds = typing.get_type_hints(type(section))
+    if key not in kinds:
         raise ValueError(f"unknown config key '{path}'")
-    current = getattr(section, key)
-    if dataclasses.is_dataclass(current):
+    kind = kinds[key]
+    if dataclasses.is_dataclass(kind):
         if not isinstance(value, dict):
             raise ValueError(f"config key '{path}' expects a mapping")
         for sub_key, sub_value in value.items():
-            _assign(current, str(sub_key), sub_value, f"{path}.{sub_key}")
+            _assign(getattr(section, key), str(sub_key), sub_value, f"{path}.{sub_key}")
         return
     if isinstance(value, dict):
         raise ValueError(f"config key '{path}' is not a section")
-    if isinstance(value, bool):
-        if not isinstance(current, bool):
-            raise ValueError(f"config key '{path}' does not take a boolean")
-    elif isinstance(current, bool):
-        raise ValueError(f"config key '{path}' expects a boolean")
-    elif isinstance(current, int) and not isinstance(value, _INT_OK):
-        raise ValueError(f"config key '{path}' expects an integer, got {value!r}")
-    elif isinstance(current, float):
-        if not isinstance(value, _FLOAT_OK):
-            raise ValueError(f"config key '{path}' expects a number, got {value!r}")
-        value = float(value)
-    setattr(section, key, value)
+    accepted, noun = _LEAF_TYPES[kind]
+    # bool is an int subclass, so only a bool key takes True or False
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ValueError(f"config key '{path}' expects {noun}, got {value!r}")
+    setattr(section, key, float(value) if kind is float else value)
+
+
+def _build(path: str, build):
+    """``build()``, with a ValueError it raises prefixed by the config ``path``."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     """Check every cross-field constraint; raises naming the key and its bound."""
     topo, ch, cm, sig = config.topology, config.channel, config.cmt, config.signaling
     noise, pilot, b, eye = config.noise, config.pilot, config.blind, config.eye
-    for path, build in (
-        ("signaling.pam_levels", config.alphabet),
-        ("channel.pdp_delays_us/pdp_powers_db", config.pdp),
-        ("topology.explicit_gains", config.explicit_topology),
-    ):
-        try:
-            build()
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    explicit = config.explicit_topology()
+    _build("signaling.pam_levels", config.alphabet)
+    _build("channel.pdp_delays_us/pdp_powers_db", config.pdp)
+    explicit = _build("topology.explicit_gains", config.explicit_topology)
     users_key, users = "topology.users_per_cell", topo.users_per_cell
     if explicit is not None:
         users_key, users = "the users per cell of topology.explicit_gains", explicit.users_per_cell
@@ -224,14 +223,11 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
             np.isfinite(noise.target_sinr_db) or noise.target_sinr_db == np.inf,
             "finite or +inf",
         ),
-        ("noise.sigma_v_sq", noise.sigma_v_sq is None or noise.sigma_v_sq >= 0.0, "null or >= 0"),
         ("pilot.pilot_len", pilot.pilot_len >= users, f">= {users_key} = {users}"),
         ("pilot.estimator", pilot.estimator in ("direct", "correlate"), "'direct' or 'correlate'"),
         ("blind.mu", b.mu >= 0.0, ">= 0"),
         # the normalized (NLMS) step 2 mu must stay below 2 to converge
         ("blind.mu", not b.normalized or b.mu < 1.0, "< 1 when blind.normalized is true"),
-        ("blind.epsilon", b.epsilon is None or b.epsilon >= 0.0, "null or >= 0"),
-        ("blind.p", b.p >= 1, ">= 1"),
         ("blind.packet_len", b.packet_len >= 1, ">= 1"),
         ("blind.passes", b.passes >= 1, ">= 1"),
         ("blind.probe_symbols", b.probe_symbols >= 1000, ">= 1000"),

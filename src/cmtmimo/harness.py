@@ -73,16 +73,14 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
 def calibrate_noise(config: ExperimentConfig) -> float:
     """Receive-noise variance for the configured operating point.
 
-    An explicit ``noise.sigma_v_sq`` wins.  Otherwise the target SINR is
-    read as the contamination-free perfect-CSI MF operating point, giving
+    ``noise.target_sinr_db`` is read as the contamination-free
+    perfect-CSI MF operating point, giving
 
         sigma_v_sq = 2 E[||h||^2] E[s^2] / 10^(target/10),
 
     with E[||h||^2] = N for the unit-energy profile.  A target of +inf
     means noiseless operation.
     """
-    if config.noise.sigma_v_sq is not None:
-        return float(config.noise.sigma_v_sq)
     target = config.noise.target_sinr_db
     if not (np.isfinite(target) or target == np.inf):
         raise ValueError("noise.target_sinr_db must be finite or +inf")
@@ -101,11 +99,9 @@ def resolve_sigma_q_sq(config: ExperimentConfig) -> float:
     """
     if config.signaling.sigma_q_mode == "fixed":
         return float(config.signaling.sigma_q_sq)
-    cmt_cfg = config.cmt_config()
-    proto = cmt.design_prototype(cmt_cfg)
     rng = np.random.default_rng(np.random.SeedSequence(config.run.master_seed))
     stats = cmt.measure_intrinsic_stats(
-        cmt_cfg, proto, rng, config.cmt.num_frames, min_samples=1
+        config.cmt_config(), rng, config.cmt.num_frames, min_samples=1
     )
     return stats.sigma_q_sq * config.alphabet().second_moment
 
@@ -246,12 +242,14 @@ def initial_state(
     config: ExperimentConfig, scens: list[TrialScenario]
 ) -> blind.BlindTrackerState:
     """Batched tracker state: row t starts at the MF on trial t's
-    contaminated estimate, with mu, epsilon and R from the config."""
+    contaminated estimate.  The step is ``blind.mu``, the regularizer
+    epsilon is 1e-12 per antenna and R is the alphabet's p = 1 dispersion
+    constant."""
     return blind.BlindTrackerState(
         w=np.stack([combine.mf_weights(scen.h_hat).w for scen in scens]),
         mu=config.blind.mu,
-        epsilon=config.blind_epsilon(),
-        R=blind.dispersion_constant(config.alphabet(), config.blind.p),
+        epsilon=1e-12 * config.channel.num_antennas,
+        R=blind.dispersion_constant(config.alphabet(), 1),
     )
 
 
@@ -444,10 +442,8 @@ def run_eye(config: ExperimentConfig, out_dir: str | None = None) -> dict:
 def run_gaussianity(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     """CMT loopback statistics; writes stats.csv (one row)."""
     out_dir = out_dir or config.run.out_dir
-    cmt_cfg = config.cmt_config()
-    proto = cmt.design_prototype(cmt_cfg)
     rng = np.random.default_rng(np.random.SeedSequence(config.run.master_seed))
-    stats = cmt.measure_intrinsic_stats(cmt_cfg, proto, rng, config.cmt.num_frames)
+    stats = cmt.measure_intrinsic_stats(config.cmt_config(), rng, config.cmt.num_frames)
     path = os.path.join(out_dir, "stats.csv")
     row = (
         stats.sigma_q_sq,

@@ -2,7 +2,10 @@
 
 Each check is small enough to run on every commit; together they pin the
 identities and statistical properties the experiments rely on, through
-the same functions the experiments call.  The unit tests run each check
+the same functions the experiments call.  The scenarios around those
+calls are the checks' own: ``blind.cost_descent``, for one, builds its
+own link model with a noiseless contaminated estimate rather than the
+scenario of ``harness.build_scenario``.  The unit tests run each check
 as its own item; acceptance criteria 1, 2 and 8 re-check four of them
 (MF identity, direct/correlate agreement, gradient at N = 8, determinism).
 The CLI ``verify`` subcommand prints one row per check with wall-clock
@@ -95,13 +98,12 @@ def _check_channel_antenna_independence(seed):
 
 def _check_cmt_reconstruction(seed):
     cfg = cmt.CmtConfig(num_subcarriers=32, overlap_factor=32, rolloff=0.25)
-    proto = cmt.design_prototype(cfg)
     rng = np.random.default_rng(seed)
     num_frames = 84
     frames = rng.choice([-1.0, 1.0], size=(32, num_frames))
-    x = cmt.cmt_synthesize(frames, cfg, proto)
+    x = cmt.cmt_synthesize(frames, cfg)
     interior = slice(cfg.overlap_factor, num_frames - cfg.overlap_factor)
-    y = cmt.cmt_demodulate(x, cfg, proto, num_symbols=num_frames)
+    y = cmt.cmt_demodulate(x, cfg, num_symbols=num_frames)
     # without the i**k toggle the leakage reaches the real part: MSE ~ 0.05
     mse = np.mean((y.real - frames)[:, interior] ** 2)
     assert mse < 1e-4, f"loopback MSE {mse:.2e}"
@@ -110,9 +112,8 @@ def _check_cmt_reconstruction(seed):
 
 def _check_cmt_gaussianity(seed):
     cfg = cmt.CmtConfig(num_subcarriers=64, overlap_factor=32, rolloff=0.25)
-    proto = cmt.design_prototype(cfg)
     stats = cmt.measure_intrinsic_stats(
-        cfg, proto, np.random.default_rng(seed), num_frames=540, min_samples=30000
+        cfg, np.random.default_rng(seed), num_frames=540, min_samples=30000
     )
     assert abs(stats.kurtosis_imag - 3.0) < 0.3, f"kurtosis {stats.kurtosis_imag:.3f}"
     assert stats.real_part_alphabet_error_rate == 0.0, "noiseless decode errors"

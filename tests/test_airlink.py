@@ -216,8 +216,7 @@ def test_correlate_noise_level_matches_direct_model():
 def test_pilot_book_validation():
     # all-ones rows are not mutually orthogonal
     with pytest.raises(ValueError):
-        airlink.PilotBook(sequences=np.ones((2, 4), dtype=complex), pilot_len=4)
+        airlink.PilotBook(sequences=np.ones((2, 4), dtype=complex))
     with pytest.raises(ValueError):
-        airlink.PilotBook(
-            sequences=airlink.dft_pilot_book(2, 4).sequences, pilot_len=8
-        )
+        airlink.PilotBook(sequences=np.ones(4, dtype=complex))
+    assert airlink.dft_pilot_book(2, 4).pilot_len == 4

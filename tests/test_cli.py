@@ -124,6 +124,11 @@ def test_bad_override_raises(tmp_path, capsys):
         ("simulate --override blind.probe_dense_every=0", "blind.probe_dense_every must be >= 1"),
         ("simulate --override blind.probe_mid_every=-5", "blind.probe_mid_every must be >= 1"),
         ("simulate --seed -1", "run.master_seed must be >= 0 (got -1)"),
+        # keys whose value the code derives from other keys
+        ("simulate --override noise.sigma_v_sq=0.1", "unknown config key 'noise.sigma_v_sq'"),
+        ("simulate --override blind.epsilon=1e-9", "unknown config key 'blind.epsilon'"),
+        ("simulate --override blind.p=2", "unknown config key 'blind.p'"),
+        ("simulate --override run.out_dir=5", "config key 'run.out_dir' expects a string, got 5"),
         # a bad explicit tensor is named before any trial is assembled
         (
             "simulate --override topology.explicit_gains=[[1.0]]",
@@ -153,6 +158,22 @@ def test_bad_override_raises(tmp_path, capsys):
         assert err.startswith("cmtmimo: error: ") and expected in err
         assert err.count("\n") == 1
     assert not any(tmp_path.iterdir())
+
+
+def test_noiseless_simulate_fails_but_eye_runs(tmp_path, capsys):
+    # at target_sinr_db = inf the MMSE reference is undefined; the eye needs none
+    extra = ("--override", "noise.target_sinr_db=.inf")
+    rc = cli.main(["simulate", *small_args(tmp_path / "simulate", extra)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == (
+        "cmtmimo: error: MMSE weights need a positive noise variance "
+        "(got sigma_v_sq=0.0); a noiseless run has no MMSE reference\n"
+    )
+    assert not (tmp_path / "simulate").exists()
+    extra += ("--override", "eye.updates=200", "--override", "eye.num_buckets=4")
+    assert cli.main(["eye", *small_args(tmp_path / "eye", extra)]) == 0
+    assert (tmp_path / "eye" / "eye_opening.csv").exists()
 
 
 def test_divergence_exits_one_without_csv(tmp_path, capsys):

@@ -13,24 +13,25 @@ def _carrier(cfg, k, num_samples):
     return (1j**k) * np.exp(2j * np.pi * (k * n % cfg.num_subcarriers) / cfg.num_subcarriers)
 
 
-def direct_synthesize(frames, cfg, proto):
+def direct_synthesize(frames, cfg):
     """Direct-form oracle: upsample, filter and up-convert each subcarrier."""
     L = cfg.num_subcarriers
+    proto = cmt.design_prototype(cfg)
     num_symbols = frames.shape[1]
     out = np.zeros((num_symbols + cfg.overlap_factor) * L, dtype=complex)
     for k in range(L):
         upsampled = np.zeros((num_symbols - 1) * L + 1)
         upsampled[::L] = frames[k]
-        stream = np.convolve(upsampled, proto.coefficients)
+        stream = np.convolve(upsampled, proto)
         out[: stream.size] += stream * _carrier(cfg, k, stream.size)
     return out
 
 
-def direct_demodulate(samples, k, cfg, proto, num_symbols):
+def direct_demodulate(samples, k, cfg, num_symbols):
     """Direct-form oracle: down-convert subcarrier k, matched-filter, sample."""
     L = cfg.num_subcarriers
     down = samples * np.conj(_carrier(cfg, k, samples.size))
-    filtered = np.convolve(down, proto.coefficients)
+    filtered = np.convolve(down, cmt.design_prototype(cfg))
     return filtered[cfg.overlap_factor * L + np.arange(num_symbols) * L]
 
 
@@ -44,8 +45,7 @@ def make_cfg(num_subcarriers=16, overlap=32, rolloff=0.25):
 
 def test_prototype_basic_properties():
     cfg = make_cfg()
-    proto = cmt.design_prototype(cfg)
-    c = proto.coefficients
+    c = cmt.design_prototype(cfg)
     assert c.size == cfg.overlap_factor * cfg.num_subcarriers + 1
     assert abs(np.sum(c * c) - 1.0) < 1e-12
     assert np.max(np.abs(c - c[::-1])) < 1e-12
@@ -55,7 +55,7 @@ def _nyquist_leakage(overlap):
     # p * p is a raised cosine: zero at every nonzero multiple of L up to
     # the truncation error of the finite span
     cfg = make_cfg(num_subcarriers=16, overlap=overlap)
-    c = cmt.design_prototype(cfg).coefficients
+    c = cmt.design_prototype(cfg)
     rc = np.convolve(c, c)
     center = c.size - 1
     peaks = rc[center :: cfg.num_subcarriers]
@@ -85,50 +85,36 @@ def test_config_validation():
     make_cfg(num_subcarriers=5, overlap=4)
 
 
-def test_prototype_filter_rejects_broken_invariants():
-    cfg = make_cfg()
-    c = cmt.design_prototype(cfg).coefficients
-    with pytest.raises(ValueError):
-        cmt.PrototypeFilter(coefficients=2.0 * c)
-    broken = c.copy()
-    broken[0] += 0.05
-    broken /= np.sqrt(np.sum(broken**2))
-    with pytest.raises(ValueError):
-        cmt.PrototypeFilter(coefficients=broken)
-
-
 def test_one_tap_equalizer_inverts_flat_gain():
     cfg = make_cfg(num_subcarriers=8)
-    proto = cmt.design_prototype(cfg)
     rng = np.random.default_rng(1)
     num_frames = 80
     frames = rng.choice([-1.0, 1.0], size=(8, num_frames))
-    x = cmt.cmt_synthesize(frames, cfg, proto)
+    x = cmt.cmt_synthesize(frames, cfg)
     gain = 0.8 * np.exp(0.3j)
     k = 3
-    y = cmt.cmt_demodulate(x * gain, cfg, proto, num_symbols=num_frames)[k] / gain
+    y = cmt.cmt_demodulate(x * gain, cfg, num_symbols=num_frames)[k] / gain
     interior = slice(cfg.overlap_factor, num_frames - cfg.overlap_factor)
     assert np.mean((y.real[interior] - frames[k][interior]) ** 2) < 1e-4
 
 
 def test_synthesize_is_linear_across_subcarriers():
     cfg = make_cfg(num_subcarriers=8)
-    proto = cmt.design_prototype(cfg)
     rng = np.random.default_rng(2)
     frames = rng.choice([-1.0, 1.0], size=(8, 40))
     low = frames.copy()
     low[4:] = 0.0
     high = frames.copy()
     high[:4] = 0.0
-    full = cmt.cmt_synthesize(frames, cfg, proto)
-    split = cmt.cmt_synthesize(low, cfg, proto) + cmt.cmt_synthesize(high, cfg, proto)
+    full = cmt.cmt_synthesize(frames, cfg)
+    split = cmt.cmt_synthesize(low, cfg) + cmt.cmt_synthesize(high, cfg)
     assert np.max(np.abs(full - split)) < 1e-12
-    silent = cmt.cmt_synthesize(np.zeros((8, 40)), cfg, proto)
+    silent = cmt.cmt_synthesize(np.zeros((8, 40)), cfg)
     assert silent.shape == full.shape
     assert np.all(silent == 0.0)
 
 
-def _leakage_coefficients(cfg, proto, target):
+def _leakage_coefficients(cfg, target):
     """Imaginary-part response at the decision point to every unit symbol
     within one overlap window, measured one impulse at a time."""
     window = cfg.overlap_factor
@@ -141,8 +127,8 @@ def _leakage_coefficients(cfg, proto, target):
         for pos in range(num_frames):
             frames = np.zeros((cfg.num_subcarriers, num_frames))
             frames[source, pos] = 1.0
-            x = cmt.cmt_synthesize(frames, cfg, proto)
-            y = cmt.cmt_demodulate(x, cfg, proto, num_symbols=num_frames)
+            x = cmt.cmt_synthesize(frames, cfg)
+            y = cmt.cmt_demodulate(x, cfg, num_symbols=num_frames)
             coeffs.append(y.imag[target, center])
     return np.asarray(coeffs)
 
@@ -152,16 +138,15 @@ def test_intrinsic_interference_matches_independence_oracle():
     so its variance and kurtosis follow from the leakage coefficients:
     var = sum c^2, kurt = 3 - 2 sum c^4 / (sum c^2)^2."""
     cfg = make_cfg(num_subcarriers=16, overlap=32, rolloff=0.25)
-    proto = cmt.design_prototype(cfg)
-    coeffs = _leakage_coefficients(cfg, proto, target=8)
+    coeffs = _leakage_coefficients(cfg, target=8)
     var_pred = np.sum(coeffs**2)
     kurt_pred = 3.0 - 2.0 * np.sum(coeffs**4) / var_pred**2
 
     rng = np.random.default_rng(3)
     num_frames = 10100
     frames = rng.choice([-1.0, 1.0], size=(16, num_frames))
-    x = cmt.cmt_synthesize(frames, cfg, proto)
-    y = cmt.cmt_demodulate(x, cfg, proto, num_symbols=num_frames)[8]
+    x = cmt.cmt_synthesize(frames, cfg)
+    y = cmt.cmt_demodulate(x, cfg, num_symbols=num_frames)[8]
     interior = slice(cfg.overlap_factor * 2, num_frames - cfg.overlap_factor * 2)
     q = y.imag[interior]
 
@@ -175,10 +160,9 @@ def test_intrinsic_interference_matches_independence_oracle():
 
 def test_measure_intrinsic_stats_rejects_short_runs():
     cfg = make_cfg(num_subcarriers=16)
-    proto = cmt.design_prototype(cfg)
     with pytest.raises(ValueError):
         cmt.measure_intrinsic_stats(
-            cfg, proto, np.random.default_rng(0), num_frames=80, min_samples=100_000
+            cfg, np.random.default_rng(0), num_frames=80, min_samples=100_000
         )
 
 
@@ -196,14 +180,13 @@ def test_polyphase_matches_direct_form(
 ):
     assume(num_subcarriers * overlap % 2 == 0)
     cfg = make_cfg(num_subcarriers=num_subcarriers, overlap=overlap)
-    proto = cmt.design_prototype(cfg)
     rng = np.random.default_rng(seed)
     frames = scale * rng.standard_normal((num_subcarriers, num_symbols))
     frames[rng.random(num_subcarriers) < silent_fraction] = 0.0
     tol = 1e-12 * scale
 
-    x = cmt.cmt_synthesize(frames, cfg, proto)
-    x_direct = direct_synthesize(frames, cfg, proto)
+    x = cmt.cmt_synthesize(frames, cfg)
+    x_direct = direct_synthesize(frames, cfg)
     assert x.shape == x_direct.shape
     assert np.max(np.abs(x - x_direct)) <= tol
 
@@ -211,8 +194,8 @@ def test_polyphase_matches_direct_form(
     samples = x_direct + scale * (
         rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
     )
-    y = cmt.cmt_demodulate(samples, cfg, proto, num_symbols)
+    y = cmt.cmt_demodulate(samples, cfg, num_symbols)
     assert y.shape == (num_subcarriers, num_symbols)
     for k in range(num_subcarriers):
-        y_direct = direct_demodulate(samples, k, cfg, proto, num_symbols)
+        y_direct = direct_demodulate(samples, k, cfg, num_symbols)
         assert np.max(np.abs(y[k] - y_direct)) <= tol

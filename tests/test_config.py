@@ -1,7 +1,59 @@
+import dataclasses
+import re
+import typing
+
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cmtmimo.config import assign_override, load_config, validate_config
+from cmtmimo.config import ExperimentConfig, assign_override, load_config, validate_config
+
+# Every leaf key of the config tree and its type.  A new knob, a removed
+# one or a changed type needs a deliberate edit here.
+CONFIG_KEYS = {
+    "topology.num_cells": int,
+    "topology.users_per_cell": int,
+    "topology.gain_low": float,
+    "topology.gain_high": float,
+    "topology.explicit_gains": list | None,
+    "channel.bandwidth_hz": float,
+    "channel.num_subcarriers": int,
+    "channel.num_antennas": int,
+    "channel.subcarrier_index": int,
+    "channel.pdp_delays_us": list,
+    "channel.pdp_powers_db": list,
+    "cmt.overlap_factor": int,
+    "cmt.rolloff": float,
+    "cmt.num_frames": int,
+    "signaling.pam_levels": list,
+    "signaling.sigma_q_mode": str,
+    "signaling.sigma_q_sq": float,
+    "noise.target_sinr_db": float,
+    "pilot.pilot_len": int,
+    "pilot.estimator": str,
+    "blind.mu": float,
+    "blind.normalized": bool,
+    "blind.packet_len": int,
+    "blind.passes": int,
+    "blind.probe_symbols": int,
+    "blind.probe_dense_every": int,
+    "blind.probe_dense_until": int,
+    "blind.probe_mid_every": int,
+    "blind.probe_mid_until": int,
+    "blind.probe_sparse_every": int,
+    "eye.updates": int,
+    "eye.num_buckets": int,
+    "eye.samples_per_bucket": int,
+    "run.master_seed": int,
+    "run.num_trials": int,
+    "run.out_dir": str,
+}
+
+# noise.sigma_v_sq restated noise.target_sinr_db; blind.epsilon and blind.p
+# restated what harness.initial_state derives
+REMOVED_KEYS = ("noise.sigma_v_sq", "blind.epsilon", "blind.p")
 
 
 def test_defaults_load_without_file():
@@ -179,9 +231,84 @@ def test_helper_constructors():
     assert pdp.tap_delays.size == 6
     cmt_cfg = cfg.cmt_config()
     assert cmt_cfg.num_subcarriers == 256
-    assert cfg.blind_epsilon() == pytest.approx(1e-12 * 128)
-    cfg.blind.epsilon = 1e-6
-    assert cfg.blind_epsilon() == 1e-6
     # the FFT takes any L, not only powers of two
     cfg.channel.num_subcarriers = 100
     assert cfg.cmt_config().num_subcarriers == 100
+
+
+def _leaf_types(cls, prefix=""):
+    for name, kind in typing.get_type_hints(cls).items():
+        if dataclasses.is_dataclass(kind):
+            yield from _leaf_types(kind, f"{prefix}{name}.")
+        else:
+            yield f"{prefix}{name}", kind
+
+
+def test_config_surface_is_pinned():
+    assert dict(_leaf_types(ExperimentConfig)) == CONFIG_KEYS
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_keys_are_unknown(key, tmp_path):
+    section, name = key.split(".")
+    path = tmp_path / "old.yaml"
+    path.write_text(f"{section}:\n  {name}: 1\n")
+    message = re.escape(f"unknown config key '{key}'")
+    with pytest.raises(ValueError, match=message):
+        load_config(str(path))
+    with pytest.raises(ValueError, match=message):
+        assign_override(load_config(None), f"{key}=1")
+
+
+_text = st.text("abcxyz019 _-./", min_size=1, max_size=8)
+_numbers = st.integers(-(10**6), 10**6) | st.floats(allow_nan=False)
+_VALUES = {
+    bool: st.booleans(),
+    int: st.integers(),
+    float: st.floats(allow_nan=False) | st.integers(),
+    str: _text,
+    list: st.lists(_numbers, max_size=4),
+    list | None: st.none() | st.lists(_numbers, max_size=4),
+}
+_ANY = (
+    st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | _text
+    | st.none()
+    | st.lists(_numbers, max_size=3)
+    | st.dictionaries(_text, st.integers(), min_size=1, max_size=2)
+)
+
+
+def _right_type(kind, value) -> bool:
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    if kind == list | None:
+        return value is None or isinstance(value, list)
+    return isinstance(value, kind)
+
+
+def _override(key, value) -> str:
+    """``key=value`` with ``value`` written as the YAML that reads back as it."""
+    text = yaml.safe_dump(value, default_flow_style=True).removesuffix("...\n")
+    return f"{key}={text.strip()}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(sorted(CONFIG_KEYS)), data=st.data())
+def test_every_key_accepts_its_type_and_rejects_others(key, data):
+    kind = CONFIG_KEYS[key]
+    section, name = key.split(".")
+    cfg = load_config(None)
+    right = data.draw(_VALUES[kind], label="right")
+    assign_override(cfg, _override(key, right))
+    stored = float(right) if kind is float else right
+    assert getattr(getattr(cfg, section), name) == stored
+
+    wrong = data.draw(_ANY.filter(lambda v: not _right_type(kind, v)), label="wrong")
+    with pytest.raises(ValueError, match=re.escape(f"config key '{key}' ")):
+        assign_override(cfg, _override(key, wrong))
+    assert getattr(getattr(cfg, section), name) == stored

@@ -56,15 +56,12 @@ def test_trial_rng_is_deterministic_and_distinct():
             assert np.array_equal(np.random.default_rng(child).standard_normal(8), drawn)
 
 
-def test_calibrate_noise_closed_form_and_precedence():
+def test_calibrate_noise_closed_form():
     cfg = load_config(None)
     expected = 2.0 * 128 * 1.0 / 10.0**3.2
     assert harness.calibrate_noise(cfg) == pytest.approx(expected, rel=1e-12)
     cfg.channel.num_antennas = 64
     assert harness.calibrate_noise(cfg) == pytest.approx(expected / 2, rel=1e-12)
-    cfg.noise.sigma_v_sq = 0.125
-    assert harness.calibrate_noise(cfg) == 0.125
-    cfg.noise.sigma_v_sq = None
     cfg.noise.target_sinr_db = np.inf
     assert harness.calibrate_noise(cfg) == 0.0
 
