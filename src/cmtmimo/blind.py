@@ -14,7 +14,10 @@ gradient of the Godard p = 1 cost (|y| - R)^2.  ``blind_step`` is the
 one-update reference; ``run_packet`` tracks one trial or a (T, N) batch
 of trials with the block-exact ``kernels.track_segment`` and hands back
 copies of the weights at requested iterations for the caller to score
-(the experiments use ``harness.probe_sinrs``).
+(the experiments use ``harness.probe_sinrs``).  The kernel's per-packet
+inputs come from ``tracker_inputs``, which every caller runs on the
+packet first; they depend only on each trial's own packet column, so the
+experiments build them one trial at a time on their worker pool.
 """
 
 from __future__ import annotations
@@ -120,12 +123,43 @@ def blind_step(
     return state, s_hat
 
 
+def tracker_inputs(
+    packet: np.ndarray, mu: float, epsilon: float, normalized: bool, first_trial: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check a packet and build the kernel inputs ``run_packet`` tracks it with.
+
+    ``packet`` is one trial's (P, N) received vectors or a (P, T, N) batch.
+    Returns the (T, P) steps of ``kernels.step_sizes`` and the block factors
+    of ``kernels.block_factors``, with T = 1 for one trial.  Row t of both
+    depends only on packet column t, so trials built one at a time and
+    stacked equal a build of the whole batch.
+
+    Raises ValueError naming the first trial (counted from ``first_trial``)
+    whose packet holds a non-finite entry.  An overflowing step or factor
+    raises no numpy warning: a row that overflows diverges, and
+    ``run_packet`` reports that once, naming the trial.
+    """
+    packet = np.ascontiguousarray(packet, dtype=complex)
+    if packet.ndim not in (2, 3) or packet.shape[0] == 0:
+        raise ValueError("packet must be a nonempty (P, N) or (P, T, N) array")
+    batch = packet.reshape(packet.shape[0], -1, packet.shape[-1])
+    finite = np.isfinite(batch)
+    if not finite.all():
+        trial = first_trial + int(np.argmin(finite.all(axis=(0, 2))))
+        raise ValueError(f"packet of trial {trial} contains non-finite entries")
+    # errstate is per thread, so it must wrap the build wherever it runs
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = kernels.step_sizes(batch, mu, epsilon, normalized)
+        return eta, kernels.block_factors(batch, eta)
+
+
 def run_packet(
     state: BlindTrackerState,
     packet: np.ndarray,
+    eta: np.ndarray,
+    factors: np.ndarray,
     passes: int,
     snapshots=(),
-    normalized: bool = True,
     collect_decisions: bool = False,
     first_trial: int = 0,
 ):
@@ -140,6 +174,9 @@ def run_packet(
     packet : ndarray, shape (P,) + state.w.shape
         Received vectors: (P, N) for one trial, (P, T, N) for a batch (the
         hidden truth stays with the caller).
+    eta, factors : ndarray
+        The packet's steps and block factors from ``tracker_inputs``,
+        built with ``state.mu`` and ``state.epsilon``.
     passes : int
         Number of cyclic passes (>= 1).
     snapshots : sequence of int
@@ -173,8 +210,6 @@ def run_packet(
         raise ValueError(f"packet must be a nonempty (P,) + {shape} array")
     if packet.shape[1:] != shape:
         raise ValueError("packet shape disagrees with weights")
-    if not np.all(np.isfinite(packet)):
-        raise ValueError("packet contains non-finite entries")
     if passes < 1:
         raise ValueError("passes must be >= 1")
     total = passes * packet.shape[0]
@@ -187,6 +222,11 @@ def run_packet(
     # the kernel works on a (T, N) batch; one trial is a batch of one
     w = state.w.reshape(-1, shape[-1])
     batch = packet.reshape(packet.shape[0], *w.shape)
+    num_blocks = -(-packet.shape[0] // kernels.BLOCK)
+    if eta.shape != (w.shape[0], packet.shape[0]) or factors.shape != (
+        w.shape[0], num_blocks, kernels.BLOCK, kernels.BLOCK
+    ):
+        raise ValueError("steps or block factors disagree with the packet")
     weights = np.empty((len(stops),) + w.shape, dtype=complex)
     decisions = np.empty((total, w.shape[0])) if collect_decisions else None
     pos = 0
@@ -202,14 +242,12 @@ def run_packet(
             trial = first_trial + int(np.argmin(finite))
             raise FloatingPointError(
                 f"blind tracker diverged: weights of trial {trial} are non-finite "
-                f"at iteration {state.iteration} (mu={state.mu}, normalized={normalized})"
+                f"at iteration {state.iteration} (mu={state.mu})"
             )
 
     # overflow on the way to divergence is reported once, by the finite-weights
     # check after each segment, not as numpy warnings from the kernel
     with np.errstate(over="ignore", invalid="ignore"):
-        eta = kernels.step_sizes(batch, state.mu, state.epsilon, normalized)
-        factors = kernels.block_factors(batch, eta)
         for j, stop in enumerate(stops):
             if stop > pos:
                 advance(stop)

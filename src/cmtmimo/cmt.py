@@ -22,6 +22,7 @@ take only the config and build it themselves (``design_prototype``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -210,21 +211,28 @@ def _random_multipath(config: CmtConfig, rng: np.random.Generator) -> np.ndarray
     return fir
 
 
-def measure_intrinsic_stats(
+class Loopback(NamedTuple):
+    """One noiseless loopback run of ``intrinsic_loopback``."""
+
+    frames: np.ndarray  # (L, num_frames) binary PAM sent on every subcarrier
+    signal: np.ndarray  # the synthesized stream
+    interior: np.ndarray  # (L, num_frames - 2 overlap) demodulated interior symbols
+    sigma_q_sq: float  # variance of the interior's imaginary part q
+
+
+def intrinsic_loopback(
     config: CmtConfig,
     rng: np.random.Generator,
     num_frames: int,
     min_samples: int = 100_000,
-) -> IntrinsicStats:
-    """Loopback statistics over i.i.d. binary PAM on all subcarriers.
+) -> Loopback:
+    """Noiseless synthesize/demodulate loopback over i.i.d. binary PAM.
 
-    Runs a noiseless synthesize/demodulate loopback over ``num_frames``
-    multicarrier symbols, discards ``overlap_factor`` edge symbols on each
-    side, and pools the interior of every subcarrier.  Reports the variance
-    and kurtosis of the imaginary part, the sign-decision error rate of the
-    equalized real part, and the kurtosis of the real part after passing
-    the same stream through a random multipath channel with no equalizer
-    (the unequalized-symbol statistic).
+    Draws ``num_frames`` multicarrier symbols on all subcarriers (its only
+    use of ``rng``), discards ``overlap_factor`` edge symbols on each side
+    and pools the interior of every subcarrier.  This is the part of
+    ``measure_intrinsic_stats`` that fixes sigma_q^2, so a caller that
+    needs only sigma_q^2 skips the multipath pass and gets the same bits.
 
     Raises if the interior yields fewer than ``min_samples`` symbols.
     """
@@ -238,20 +246,41 @@ def measure_intrinsic_stats(
         )
     frames = rng.choice([-1.0, 1.0], size=(L, num_frames))
     x = cmt_synthesize(frames, config)
-    x_multipath = fftconvolve(x, _random_multipath(config, rng))[: x.size]
+    y = cmt_demodulate(x, config, num_symbols=num_frames)[:, edge : num_frames - edge]
+    return Loopback(frames, x, y, float(y.imag.ravel().var()))
 
-    interior = slice(edge, num_frames - edge)
-    y = cmt_demodulate(x, config, num_symbols=num_frames)[:, interior]
-    y_mp = cmt_demodulate(x_multipath, config, num_symbols=num_frames)[:, interior]
+
+def measure_intrinsic_stats(
+    config: CmtConfig,
+    rng: np.random.Generator,
+    num_frames: int,
+    min_samples: int = 100_000,
+) -> IntrinsicStats:
+    """Loopback statistics over i.i.d. binary PAM on all subcarriers.
+
+    Runs the noiseless ``intrinsic_loopback`` and reports the variance and
+    kurtosis of the imaginary part, the sign-decision error rate of the
+    equalized real part, and the kurtosis of the real part after passing
+    the same stream through a random multipath channel with no equalizer
+    (the unequalized-symbol statistic).  The channel is drawn from ``rng``
+    after the frames.
+
+    Raises if the interior yields fewer than ``min_samples`` symbols.
+    """
+    frames, x, y, q_var = intrinsic_loopback(config, rng, num_frames, min_samples)
+    interior = slice(config.overlap_factor, num_frames - config.overlap_factor)
     q = y.imag.ravel()
-    u = y_mp.real.ravel()
-    real_err = np.count_nonzero(np.sign(y.real) != frames[:, interior])
+    kurtosis_imag = float(np.mean((q - q.mean()) ** 4) / q_var**2)
+    error_rate = float(np.count_nonzero(np.sign(y.real) != frames[:, interior]) / q.size)
+    # the multipath pass's FFT is the call's memory peak: free the loopback first
+    del frames, y, q
 
-    q_var = q.var()
+    x_multipath = fftconvolve(x, _random_multipath(config, rng))[: x.size]
+    u = cmt_demodulate(x_multipath, config, num_symbols=num_frames)[:, interior].real.ravel()
     u_c = u - u.mean()
     return IntrinsicStats(
-        sigma_q_sq=float(q_var),
-        kurtosis_imag=float(np.mean((q - q.mean()) ** 4) / q_var**2),
+        sigma_q_sq=q_var,
+        kurtosis_imag=kurtosis_imag,
         kurtosis_real_unequalized=float(np.mean(u_c**4) / np.mean(u_c**2) ** 2),
-        real_part_alphabet_error_rate=float(real_err / q.size),
+        real_part_alphabet_error_rate=error_rate,
     )

@@ -10,9 +10,10 @@ per-subcarrier model is independent across subcarriers.
 
 ``run_fig3`` and ``run_eye`` each open one thread pool of ``WORKERS``
 threads for the run.  Its workers do the per-trial work: assembling a
-trial's scenario and packet and, in ``run_fig3``, scoring its probe
-block.  Between those stages the main thread runs the batched tracking
-kernel on the whole group.  A task touches only its own trial's
+trial's scenario and packet, checking the packet and building its
+tracker inputs (steps and block factors) and, in ``run_fig3``, scoring
+its probe block.  Between those stages the main thread runs the batched
+tracking kernel on the whole group.  A task touches only its own trial's
 generator, in the order a serial loop would, and results come back in
 trial order, so the CSV bytes do not depend on the number of workers.
 The generator fills, GEMMs and LAPACK solves of that work release the
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import airlink, blind, channel, cmt, combine, topology
+from . import airlink, blind, channel, cmt, combine, kernels, topology
 from .config import ExperimentConfig
 
 TRAJECTORY_HEADER = (
@@ -95,15 +96,17 @@ def resolve_sigma_q_sq(config: ExperimentConfig) -> float:
 
     Mode "fixed" returns ``signaling.sigma_q_sq``.  Mode "calibrated"
     measures it from the CMT loopback, seeded from the master seed so the
-    result is a pure function of config + seed.
+    result is a pure function of config + seed.  It runs only the
+    loopback of ``cmt.measure_intrinsic_stats``, which draws its frames
+    first, so it equals that function's ``sigma_q_sq`` bit for bit.
     """
     if config.signaling.sigma_q_mode == "fixed":
         return float(config.signaling.sigma_q_sq)
     rng = np.random.default_rng(np.random.SeedSequence(config.run.master_seed))
-    stats = cmt.measure_intrinsic_stats(
+    loopback = cmt.intrinsic_loopback(
         config.cmt_config(), rng, config.cmt.num_frames, min_samples=1
     )
-    return stats.sigma_q_sq * config.alphabet().second_moment
+    return loopback.sigma_q_sq * config.alphabet().second_moment
 
 
 @dataclass
@@ -130,13 +133,14 @@ class TrialScenario:
 
 
 def build_scenario(
-    config: ExperimentConfig, rng: np.random.Generator, sigma_q: float
+    config: ExperimentConfig, rng: np.random.Generator, sigma_q: float, sigma_v_sq: float
 ) -> TrialScenario:
     """Draw topology, channels, and the contaminated estimate for one trial.
 
     ``sigma_q`` is the intrinsic-interference standard deviation, the
-    square root of ``resolve_sigma_q_sq(config)``; experiments resolve it
-    once per run because it does not depend on the trial.
+    square root of ``resolve_sigma_q_sq(config)``, and ``sigma_v_sq`` the
+    receive-noise variance of ``calibrate_noise(config)``; experiments
+    resolve both once per run because they do not depend on the trial.
     """
     topo_cfg = config.topology
     topo = config.explicit_topology()
@@ -157,7 +161,6 @@ def build_scenario(
         num_subcarriers=config.channel.num_subcarriers,
     )
     h_stack = channel.matrix_stack(realization, config.channel.subcarrier_index)
-    sigma_v_sq = calibrate_noise(config)
     if config.pilot.estimator == "direct":
         estimate = airlink.estimate_channels_direct(
             topo, h_stack, 0, sigma_v_sq, config.pilot.pilot_len, rng
@@ -238,15 +241,14 @@ def reference_weights(scen: TrialScenario, config: ExperimentConfig):
     return w_mf, w_mmse, w_contam
 
 
-def initial_state(
-    config: ExperimentConfig, scens: list[TrialScenario]
-) -> blind.BlindTrackerState:
-    """Batched tracker state: row t starts at the MF on trial t's
-    contaminated estimate.  The step is ``blind.mu``, the regularizer
-    epsilon is 1e-12 per antenna and R is the alphabet's p = 1 dispersion
-    constant."""
+def initial_state(config: ExperimentConfig, num_trials: int) -> blind.BlindTrackerState:
+    """Batched tracker state for a group of ``num_trials`` trials.  Its
+    weights are zero until trial t's assembly task starts row t at the MF
+    on the trial's contaminated estimate.  The step is ``blind.mu``, the
+    regularizer epsilon is 1e-12 per antenna and R is the alphabet's
+    p = 1 dispersion constant."""
     return blind.BlindTrackerState(
-        w=np.stack([combine.mf_weights(scen.h_hat).w for scen in scens]),
+        w=np.zeros((num_trials, config.channel.num_antennas), dtype=complex),
         mu=config.blind.mu,
         epsilon=1e-12 * config.channel.num_antennas,
         R=blind.dispersion_constant(config.alphabet(), 1),
@@ -284,6 +286,7 @@ def _track_group(
     config: ExperimentConfig,
     trials: range,
     sigma_q: float,
+    sigma_v_sq: float,
     passes: int,
     pool: Executor,
     snapshots=(),
@@ -291,29 +294,43 @@ def _track_group(
 ) -> tuple[list[TrialScenario], np.ndarray, np.ndarray | None]:
     """Assemble a group of trials on ``pool``, then track them as one batch.
 
-    Each pool task builds one trial's scenario from its own generator,
-    draws its packet into the trial's column of the (P, T, N) packet stack
-    and returns the scenario; the generator is left right after the
-    packet, where the trial's probe block comes from.  The stack lives
-    only while the group is tracked, which runs on the calling thread.
-    Returns the scenarios in trial order plus the weight snapshots and
-    decisions of ``blind.run_packet``.
+    Each pool task builds one trial's scenario from its own generator and
+    draws its packet; the generator is left right after the packet, where
+    the trial's probe block comes from.  The task then fills the trial's
+    share of the group's tracker inputs: row t of the starting weights,
+    column t of the (P, T, N) packet stack, and row t of the steps and
+    block factors of ``blind.tracker_inputs``, built from the packet alone
+    (which also rejects a non-finite packet, naming the trial).  So the
+    calling thread only tracks.  The stack lives only while the group is
+    tracked.  Returns the scenarios in trial order plus the weight
+    snapshots and decisions of ``blind.run_packet``.
     """
     packet_len = config.blind.packet_len
-    packets = np.empty((packet_len, len(trials), config.channel.num_antennas), dtype=complex)
+    width = len(trials)
+    state = initial_state(config, width)
+    packets = np.empty((packet_len, width, config.channel.num_antennas), dtype=complex)
+    eta = np.empty((width, packet_len))
+    num_blocks = -(-packet_len // kernels.BLOCK)
+    factors = np.empty((width, num_blocks, kernels.BLOCK, kernels.BLOCK))
 
     def assemble(t: int) -> TrialScenario:
         rng = trial_rng(config.run.master_seed, trials[t])
-        scen = build_scenario(config, rng, sigma_q)
-        packets[:, t] = scen.draw_block(packet_len)[0]
+        scen = build_scenario(config, rng, sigma_q, sigma_v_sq)
+        packet = scen.draw_block(packet_len)[0]
+        eta[t : t + 1], factors[t : t + 1] = blind.tracker_inputs(
+            packet, state.mu, state.epsilon, config.blind.normalized, trials[t]
+        )
+        state.w[t] = combine.mf_weights(scen.h_hat).w
+        packets[:, t] = packet
         return scen
 
-    scens = list(pool.map(assemble, range(len(trials))))
+    scens = list(pool.map(assemble, range(width)))
     weights, decisions = blind.run_packet(
-        initial_state(config, scens),
+        state,
         packets,
+        eta,
+        factors,
         passes,
-        normalized=config.blind.normalized,
         snapshots=snapshots,
         collect_decisions=collect_decisions,
         first_trial=trials[0],
@@ -325,18 +342,27 @@ def run_fig3(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     """SINR-trajectory experiment; writes trajectory.csv and summary.csv.
 
     Trials run in groups of ``_trial_groups``, each in three stages:
-    assemble every trial's scenario and packet on the run's thread pool;
-    track the whole group over its cyclically reused packets, keeping the
-    weights at every point of the probe schedule; then score on the pool,
-    one task per trial: draw the trial's held-out block, and measure the
-    three reference levels and the SINR of each kept weight vector on it
-    with one ``probe_sinrs`` call.  The main thread turns the SINR rows,
+    assemble every trial's scenario, packet and tracker inputs on the
+    run's thread pool; track the whole group over its cyclically reused
+    packets, keeping the weights at every point of the probe schedule;
+    then score on the pool, one task per trial: draw the trial's held-out
+    block, and measure the three reference levels and the SINR of each
+    kept weight vector on it with one ``probe_sinrs`` call.  The main thread turns the SINR rows,
     in trial order, into the crossing of the MF-perfect level and the
     final gap to MMSE.  One probe block per worker is alive at a time.
+
+    A noiseless config (``noise.target_sinr_db`` = inf) has no MMSE
+    reference, so it fails before any trial runs.
 
     Returns the output paths and the per-trial trajectories.
     """
     out_dir = out_dir or config.run.out_dir
+    sigma_v_sq = calibrate_noise(config)
+    if sigma_v_sq == 0.0:
+        raise ValueError(
+            f"noise.target_sinr_db must be finite for simulate (got "
+            f"{config.noise.target_sinr_db}): a noiseless run has no MMSE reference"
+        )
     total = config.blind.packet_len * config.blind.passes
     schedule = _probe_schedule(config, total)
     sigma_q = float(np.sqrt(resolve_sigma_q_sq(config)))
@@ -346,7 +372,13 @@ def run_fig3(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     with ThreadPoolExecutor(WORKERS) as pool:
         for trials in _trial_groups(config):
             scens, weights, _ = _track_group(
-                config, trials, sigma_q, config.blind.passes, pool, snapshots=schedule
+                config,
+                trials,
+                sigma_q,
+                sigma_v_sq,
+                config.blind.passes,
+                pool,
+                snapshots=schedule,
             )
 
             def score(t: int) -> np.ndarray:
@@ -390,9 +422,9 @@ def run_eye(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     """Eye-pattern experiment; writes eye.csv and eye_opening.csv.
 
     Pre-decision outputs s_hat are collected during adaptation, for a
-    group of trials at a time (assembled on the run's thread pool), and
-    split into iteration buckets b * total // num_buckets (labeled by
-    their start iteration).  The per-bucket eye opening is
+    group of trials at a time (assembled, with their tracker inputs, on
+    the run's thread pool), and split into iteration buckets
+    b * total // num_buckets (labeled by their start iteration).  The per-bucket eye opening is
     min |s_hat| over all decisions in the bucket (the closest approach to
     the decision threshold, as read off a classic eye diagram); eye.csv
     logs up to ``eye.samples_per_bucket`` samples per bucket for plotting.
@@ -405,12 +437,13 @@ def run_eye(config: ExperimentConfig, out_dir: str | None = None) -> dict:
         raise ValueError("eye.updates must provide at least one decision per bucket")
     bounds = np.arange(num_buckets + 1) * total // num_buckets
     sigma_q = float(np.sqrt(resolve_sigma_q_sq(config)))
+    sigma_v_sq = calibrate_noise(config)
     num_trials = config.run.num_trials
     decisions = np.empty((num_trials, total))
     with ThreadPoolExecutor(WORKERS) as pool:
         for trials in _trial_groups(config):
             _, _, group = _track_group(
-                config, trials, sigma_q, passes, pool, collect_decisions=True
+                config, trials, sigma_q, sigma_v_sq, passes, pool, collect_decisions=True
             )
             decisions[trials.start : trials.stop] = group.T
     openings = np.minimum.reduceat(np.abs(decisions), bounds[:-1], axis=1)

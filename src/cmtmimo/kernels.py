@@ -20,8 +20,10 @@ signs in at most n + 1 rounds (about one in practice).  The block's
 weight change is then one product, w -= sum_j eta_j (y_j - R s_j) x_j.
 
 The steps eta (``step_sizes``) and the factors M - I (``block_factors``)
-depend only on the packet and the step, so the caller builds both once
-per packet and passes them to every ``track_segment`` call on it.
+depend only on the packet and the step, so ``blind.tracker_inputs``
+builds both once per packet and ``blind.run_packet`` passes them to every
+``track_segment`` call on it.  Row t of each depends only on trial t's
+packet column, so a batch's inputs may be built one trial at a time.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@ import re
 import statistics
 import threading
 
+import numpy as np
+
 from cmtmimo import cli, harness, verify
 
 
@@ -160,17 +162,23 @@ def test_bad_override_raises(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
-def test_noiseless_simulate_fails_but_eye_runs(tmp_path, capsys):
-    # at target_sinr_db = inf the MMSE reference is undefined; the eye needs none
+def test_noiseless_simulate_fails_but_eye_runs(tmp_path, capsys, monkeypatch):
+    # at target_sinr_db = inf the MMSE reference is undefined, so simulate
+    # fails before it assembles a trial; the eye needs no MMSE reference
+    def unreached(*args):
+        raise AssertionError("a noiseless simulate assembled a trial")
+
+    monkeypatch.setattr(harness, "build_scenario", unreached)
     extra = ("--override", "noise.target_sinr_db=.inf")
     rc = cli.main(["simulate", *small_args(tmp_path / "simulate", extra)])
     err = capsys.readouterr().err
     assert rc == 2
     assert err == (
-        "cmtmimo: error: MMSE weights need a positive noise variance "
-        "(got sigma_v_sq=0.0); a noiseless run has no MMSE reference\n"
+        "cmtmimo: error: noise.target_sinr_db must be finite for simulate "
+        "(got inf): a noiseless run has no MMSE reference\n"
     )
     assert not (tmp_path / "simulate").exists()
+    monkeypatch.undo()
     extra += ("--override", "eye.updates=200", "--override", "eye.num_buckets=4")
     assert cli.main(["eye", *small_args(tmp_path / "eye", extra)]) == 0
     assert (tmp_path / "eye" / "eye_opening.csv").exists()
@@ -199,10 +207,10 @@ def test_worker_error_exits_two_and_leaves_no_thread(tmp_path, capsys, monkeypat
 
     build = harness.build_scenario
 
-    def failing(config, rng, sigma_q):
+    def failing(config, rng, sigma_q, sigma_v_sq):
         if rng.bit_generator.seed_seq.spawn_key == (1,):
             raise ValueError("planted failure in trial 1")
-        return build(config, rng, sigma_q)
+        return build(config, rng, sigma_q, sigma_v_sq)
 
     monkeypatch.setattr(harness, "build_scenario", failing)
     for command in ("simulate", "eye"):
@@ -211,6 +219,30 @@ def test_worker_error_exits_two_and_leaves_no_thread(tmp_path, capsys, monkeypat
         assert capsys.readouterr().err == "cmtmimo: error: planted failure in trial 1\n"
         assert threading.active_count() == before
     assert not (tmp_path / "bad").exists()
+
+
+def test_nonfinite_packet_names_its_trial(tmp_path, capsys, monkeypatch):
+    # a NaN in trial 1's packet is caught in that trial's assembly task:
+    # one line naming the trial, exit 2, no CSV and no thread left behind
+    monkeypatch.setattr(harness, "WORKERS", 3)
+    before = threading.active_count()
+    draw = harness.TrialScenario.draw_block
+
+    def planted(scen, num_symbols):
+        x, s = draw(scen, num_symbols)
+        # blind.packet_len is 50 in small_args; probe blocks are longer
+        if scen.rng.bit_generator.seed_seq.spawn_key == (1,) and num_symbols == 50:
+            x[25, 3] = np.nan
+        return x, s
+
+    monkeypatch.setattr(harness.TrialScenario, "draw_block", planted)
+    for command in ("simulate", "eye"):
+        rc = cli.main([command, *small_args(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "cmtmimo: error: packet of trial 1 contains non-finite entries\n"
+        assert threading.active_count() == before
+    assert not any(tmp_path.iterdir())
 
 
 def test_flag_overrides_apply_after_file(tmp_path):

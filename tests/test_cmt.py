@@ -158,6 +158,16 @@ def test_intrinsic_interference_matches_independence_oracle():
     assert 2.7 < kurt_pred < 3.0
 
 
+def test_loopback_sigma_q_is_the_stats_sigma_q():
+    # the calibrated sigma_q needs only the loopback, which draws the frames
+    # before the stats' multipath channel, so it keeps every bit
+    cfg = make_cfg(num_subcarriers=32)
+    loopback = cmt.intrinsic_loopback(cfg, np.random.default_rng(3), 100, min_samples=1)
+    stats = cmt.measure_intrinsic_stats(cfg, np.random.default_rng(3), 100, min_samples=1)
+    assert loopback.sigma_q_sq == stats.sigma_q_sq
+    assert loopback.interior.shape == (32, 100 - 2 * cfg.overlap_factor)
+
+
 def test_measure_intrinsic_stats_rejects_short_runs():
     cfg = make_cfg(num_subcarriers=16)
     with pytest.raises(ValueError):

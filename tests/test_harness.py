@@ -1,11 +1,12 @@
 import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmtmimo import cmt, harness
+from cmtmimo import cmt, harness, kernels
 from cmtmimo.config import load_config
 
 
@@ -85,13 +86,13 @@ def test_calibrated_sigma_q_is_resolved_once_per_run(tmp_path, monkeypatch):
     cfg.cmt.num_frames = 100
     resolved = harness.resolve_sigma_q_sq(cfg)
     calls = []
-    measure = cmt.measure_intrinsic_stats
+    loopback = cmt.intrinsic_loopback
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return measure(*args, **kwargs)
+        return loopback(*args, **kwargs)
 
-    monkeypatch.setattr(cmt, "measure_intrinsic_stats", counted)
+    monkeypatch.setattr(cmt, "intrinsic_loopback", counted)
     harness.run_fig3(cfg, str(tmp_path / "calibrated"))
     assert len(calls) == 1
 
@@ -107,7 +108,7 @@ def test_calibrated_sigma_q_is_resolved_once_per_run(tmp_path, monkeypatch):
 def test_build_scenario_shapes_and_contamination():
     cfg = tiny_config()
     rng = harness.trial_rng(cfg.run.master_seed, 0)
-    scen = harness.build_scenario(cfg, rng, 1.0)
+    scen = harness.build_scenario(cfg, rng, 1.0, harness.calibrate_noise(cfg))
     n = cfg.channel.num_antennas
     m = cfg.topology.num_cells
     assert scen.h_stack.shape == (m, m, n, 1)
@@ -127,10 +128,10 @@ def test_build_scenario_estimator_modes_agree_statistically():
     cfg = tiny_config()
     cfg.noise.target_sinr_db = np.inf  # noiseless: modes coincide exactly
     rng_a = harness.trial_rng(1, 0)
-    direct = harness.build_scenario(cfg, rng_a, 1.0)
+    direct = harness.build_scenario(cfg, rng_a, 1.0, 0.0)
     cfg.pilot.estimator = "correlate"
     rng_b = harness.trial_rng(1, 0)
-    correlate = harness.build_scenario(cfg, rng_b, 1.0)
+    correlate = harness.build_scenario(cfg, rng_b, 1.0, 0.0)
     assert np.allclose(direct.h_hat, correlate.h_hat, rtol=1e-9, atol=1e-12)
 
 
@@ -188,6 +189,29 @@ def test_csv_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
         assert (tmp_path / "1" / name).read_bytes() == (
             tmp_path / "3" / name
         ).read_bytes(), name
+
+
+def test_tracker_inputs_are_built_on_the_pool(tmp_path, monkeypatch):
+    # every trial's steps and block factors are built in its assembly task,
+    # never on the main thread, whatever the pool's size
+    names = []
+    for name in ("step_sizes", "block_factors"):
+        build = getattr(kernels, name)
+
+        def recorded(*args, build=build):
+            names.append(threading.current_thread().name)
+            return build(*args)
+
+        monkeypatch.setattr(kernels, name, recorded)
+    cfg = tiny_config(trials=3)
+    for workers in (1, 2):
+        monkeypatch.setattr(harness, "WORKERS", workers)
+        for run in (harness.run_fig3, harness.run_eye):
+            names.clear()
+            run(cfg, str(tmp_path / str(workers)))
+            assert len(names) == 2 * cfg.run.num_trials
+            assert "MainThread" not in names
+            assert threading.main_thread().name == "MainThread"
 
 
 def test_trial_rows_do_not_depend_on_num_trials(tmp_path):

@@ -7,9 +7,9 @@ from cmtmimo import blind, kernels
 
 
 def _track(w, x, start, count, mu, eps, r, normalized, s_out=None):
-    """``track_segment`` with the steps and factors built as ``run_packet`` does."""
-    eta = kernels.step_sizes(x, mu, eps, normalized)
-    kernels.track_segment(w, x, eta, kernels.block_factors(x, eta), start, count, r, s_out)
+    """``track_segment`` on the steps and factors every caller builds."""
+    eta, factors = blind.tracker_inputs(x, mu, eps, normalized)
+    kernels.track_segment(w, x, eta, factors, start, count, r, s_out)
 
 
 def test_python_kernel_single_step_hand_oracle():
@@ -154,3 +154,44 @@ def test_block_factors_rows_are_independent():
                 assert not np.all(np.isfinite(factors[t]))
             else:
                 assert np.array_equal(factors[t], alone[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    blocks=st.integers(0, 2),
+    tail=st.integers(0, kernels.BLOCK - 1),
+    trials=st.integers(1, 5),
+    mu=st.floats(0.0, 0.5),
+    eps=st.one_of(st.just(0.0), st.floats(1e-12, 1.0)),
+    normalized=st.booleans(),
+    overflowing=st.one_of(st.none(), st.integers(0, 4)),
+)
+def test_tracker_inputs_built_per_trial_equal_the_group_build(
+    seed, n, blocks, tail, trials, mu, eps, normalized, overflowing
+):
+    # the harness builds each trial's steps and factors in its own
+    # assembly task from its (P, N) packet column; stacked, they must be
+    # bit-equal to one build over the (P, T, N) group, short tail block
+    # included.  An overflowing column raises no warning (pytest turns
+    # RuntimeWarning into an error) and stays in its own rows.
+    packet_len = max(1, blocks * kernels.BLOCK + tail)
+    x = _packet(np.random.default_rng(seed), packet_len, trials, n)
+    if overflowing is not None and overflowing < trials:
+        x[:, overflowing] *= 1e160
+    columns = [
+        blind.tracker_inputs(x[:, t], mu, eps, normalized, first_trial=t) for t in range(trials)
+    ]
+    eta = np.concatenate([c[0] for c in columns])
+    factors = np.concatenate([c[1] for c in columns])
+    with np.errstate(over="ignore", invalid="ignore"):
+        group_eta = kernels.step_sizes(x, mu, eps, normalized)
+        group_factors = kernels.block_factors(x, group_eta)
+    assert np.array_equal(eta, group_eta, equal_nan=True)
+    assert np.array_equal(factors, group_factors, equal_nan=True)
+    if overflowing is not None and overflowing < trials and packet_len > 1:
+        assert not np.all(np.isfinite(factors[overflowing]))
+    whole = blind.tracker_inputs(x, mu, eps, normalized)
+    assert np.array_equal(whole[0], eta, equal_nan=True)
+    assert np.array_equal(whole[1], factors, equal_nan=True)
