@@ -17,7 +17,7 @@ copies of the weights at requested iterations for the caller to score
 (the experiments use ``harness.probe_sinrs``).  The kernel's per-packet
 inputs come from ``tracker_inputs``, which every caller runs on the
 packet first; they depend only on each trial's own packet column, so the
-experiments build them one trial at a time on their worker pool.
+experiments build them one trial at a time, as each trial is assembled.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ def tracker_inputs(
     if not finite.all():
         trial = first_trial + int(np.argmin(finite.all(axis=(0, 2))))
         raise ValueError(f"packet of trial {trial} contains non-finite entries")
-    # errstate is per thread, so it must wrap the build wherever it runs
+    # an overflow here surfaces once, as the divergence run_packet reports
     with np.errstate(over="ignore", invalid="ignore"):
         eta = kernels.step_sizes(batch, mu, epsilon, normalized)
         return eta, kernels.block_factors(batch, eta)

@@ -10,6 +10,8 @@ invariant suite:
 
 Every subcommand accepts --config (YAML), --seed, --trials, --out, and
 repeatable --override key=value pairs applied after the file.
+``simulate`` and ``eye`` end with one line per stage of the run: its
+work count and its seconds, summed over the worker processes.
 
 A bad config, a config the experiment rejects (for example a CMT loopback
 too short for its sample floor) or a diverging tracker ends the run with
@@ -87,6 +89,11 @@ def main(argv=None) -> int:
         return 1
 
 
+def _print_stages(stages) -> None:
+    for name, stage in stages.items():
+        print(f"stage {name}: {stage.count} {stage.unit} in {stage.seconds:.3f} s")
+
+
 def _run(command: str, config) -> int:
     if command == "verify":
         results = verify.run_verify(config.run.master_seed)
@@ -103,6 +110,7 @@ def _run(command: str, config) -> int:
             f"{len(finals)} trials, final blind SINR "
             f"median {statistics.median(finals):.2f} dB"
         )
+        _print_stages(result["stages"])
     elif command == "eye":
         result = harness.run_eye(config)
         print(f"wrote {result['eye_csv']}")
@@ -110,6 +118,7 @@ def _run(command: str, config) -> int:
         openings = result["openings"]
         improved = int(sum(row[-1] > row[0] for row in openings))
         print(f"eye opening improved in {improved}/{len(openings)} trials")
+        _print_stages(result["stages"])
     elif command == "gaussianity":
         result = harness.run_gaussianity(config)
         stats = result["stats"]

@@ -8,23 +8,26 @@ stream does not depend on how many trials run, and reruns are
 byte-identical.  Experiments work on one representative subcarrier; the
 per-subcarrier model is independent across subcarriers.
 
-``run_fig3`` and ``run_eye`` each open one thread pool of ``WORKERS``
-threads for the run.  Its workers do the per-trial work: assembling a
-trial's scenario and packet, checking the packet and building its
-tracker inputs (steps and block factors) and, in ``run_fig3``, scoring
-its probe block.  Between those stages the main thread runs the batched
-tracking kernel on the whole group.  A task touches only its own trial's
-generator, in the order a serial loop would, and results come back in
-trial order, so the CSV bytes do not depend on the number of workers.
-The generator fills, GEMMs and LAPACK solves of that work release the
-GIL, so the workers run in parallel.
+``run_fig3`` and ``run_eye`` split the trials into contiguous shards,
+one per worker process (``WORKERS``; see ``_run_shards``).  A shard runs
+serially in one process: it assembles each trial's scenario, packet and
+tracker inputs (steps and block factors), tracks a group of trials at a
+time with the batched kernel, then finishes each trial: ``run_fig3``
+scores its probe block, ``run_eye`` formats its eye.csv rows.  Each
+stage is timed and counted, and a run returns the sums as ``stages``.
+A shard draws only from its own trials' generators, and this process
+writes the shards' rows in trial order, so the CSV bytes do not depend
+on the number of workers.  Worker processes are forked, since the
+kernel's many small numpy calls hold the GIL and so gain nothing from
+threads.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import Executor, ThreadPoolExecutor
+import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -268,18 +271,80 @@ def _probe_schedule(config: ExperimentConfig, total: int) -> list[int]:
 # 1000 x 128 complex packet.  Wider batches add memory, not speed.
 GROUP_BYTES = 40 * 2**20
 
-# Threads that assemble and score trials: one per CPU this process may run on.
+# Processes that run trial shards: one per CPU this process may run on
+# where ``fork`` exists, else 1 (the run stays in this process).
 WORKERS = (
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    if hasattr(os, "fork")
+    else 1
 )
 
 
-def _trial_groups(config: ExperimentConfig) -> list[range]:
-    """Consecutive trial ranges whose packet stacks fit in ``GROUP_BYTES``."""
+@dataclass
+class Stage:
+    """The work of one stage of a run: ``count`` units of ``unit`` in
+    ``seconds`` of wall time, summed over the run's shards (so on several
+    workers the stages can add up to more than the run's wall time)."""
+
+    unit: str
+    count: int = 0
+    seconds: float = 0.0
+
+    def add(self, count: int, since: float) -> float:
+        """Count ``count`` units done since ``time.perf_counter()`` read
+        ``since``; returns the current reading, where the next stage starts."""
+        now = time.perf_counter()
+        self.count += count
+        self.seconds += now - since
+        return now
+
+
+def _stages(finish: str, unit: str) -> dict[str, Stage]:
+    """A shard's stages: assembly, tracking, then the experiment's ``finish``."""
+    return {"assemble": Stage("trials"), "track": Stage("trial-updates"), finish: Stage(unit)}
+
+
+def _run_shards(shard, num_trials: int) -> tuple[list, dict[str, Stage]]:
+    """Run ``shard(trials)`` on ``min(WORKERS, num_trials)`` contiguous trial ranges.
+
+    ``shard`` returns its result and its stages.  One range runs in this
+    process; more run in as many forked worker processes, each range
+    serially in one process.  Returns the results in trial order and the
+    stages summed over the shards.  An exception raised in a shard is
+    raised here, with its type and message, after every worker has exited.
+
+    Workers are forked rather than spawned: a spawned worker would import
+    the package again (about a second, mostly scipy) and would not see
+    the caller's run-time state.  The pool forks every worker before it
+    starts its own thread, so a caller that runs no other thread forks a
+    single-threaded process.
+    """
+    num = min(WORKERS, num_trials)
+    ranges = [range(k * num_trials // num, (k + 1) * num_trials // num) for k in range(num)]
+    if num == 1:
+        outputs = [shard(ranges[0])]
+    else:
+        # imported here so that importing the package loads no multiprocessing
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(num, mp_context=multiprocessing.get_context("fork")) as pool:
+            outputs = list(pool.map(shard, ranges))
+    stages = {name: Stage(stage.unit) for name, stage in outputs[0][1].items()}
+    for _, shard_stages in outputs:
+        for name, stage in shard_stages.items():
+            stages[name].count += stage.count
+            stages[name].seconds += stage.seconds
+    return [result for result, _ in outputs], stages
+
+
+def _trial_groups(config: ExperimentConfig, trials: range | None = None) -> list[range]:
+    """Consecutive ranges of ``trials`` (default: all of the run's) whose
+    packet stacks fit in ``GROUP_BYTES``."""
     trial_bytes = config.blind.packet_len * config.channel.num_antennas * 16
     width = max(1, GROUP_BYTES // trial_bytes)
-    num_trials = config.run.num_trials
-    return [range(lo, min(lo + width, num_trials)) for lo in range(0, num_trials, width)]
+    trials = range(config.run.num_trials) if trials is None else trials
+    return [trials[lo : lo + width] for lo in range(0, len(trials), width)]
 
 
 def _track_group(
@@ -288,23 +353,24 @@ def _track_group(
     sigma_q: float,
     sigma_v_sq: float,
     passes: int,
-    pool: Executor,
+    stages: dict[str, Stage],
     snapshots=(),
     collect_decisions: bool = False,
 ) -> tuple[list[TrialScenario], np.ndarray, np.ndarray | None]:
-    """Assemble a group of trials on ``pool``, then track them as one batch.
+    """Assemble a group of trials, then track them as one batch.
 
-    Each pool task builds one trial's scenario from its own generator and
-    draws its packet; the generator is left right after the packet, where
-    the trial's probe block comes from.  The task then fills the trial's
-    share of the group's tracker inputs: row t of the starting weights,
-    column t of the (P, T, N) packet stack, and row t of the steps and
-    block factors of ``blind.tracker_inputs``, built from the packet alone
-    (which also rejects a non-finite packet, naming the trial).  So the
-    calling thread only tracks.  The stack lives only while the group is
-    tracked.  Returns the scenarios in trial order plus the weight
+    Assembly builds each trial's scenario from its own generator and draws
+    its packet; the generator is left right after the packet, where the
+    trial's probe block comes from.  It then fills the trial's share of
+    the group's tracker inputs: row t of the starting weights, column t of
+    the (P, T, N) packet stack, and row t of the steps and block factors
+    of ``blind.tracker_inputs``, built from the packet alone (which also
+    rejects a non-finite packet, naming the trial).  The stack lives only
+    while the group is tracked.  Both stages are timed and counted into
+    ``stages``.  Returns the scenarios in trial order plus the weight
     snapshots and decisions of ``blind.run_packet``.
     """
+    start = time.perf_counter()
     packet_len = config.blind.packet_len
     width = len(trials)
     state = initial_state(config, width)
@@ -312,19 +378,17 @@ def _track_group(
     eta = np.empty((width, packet_len))
     num_blocks = -(-packet_len // kernels.BLOCK)
     factors = np.empty((width, num_blocks, kernels.BLOCK, kernels.BLOCK))
-
-    def assemble(t: int) -> TrialScenario:
-        rng = trial_rng(config.run.master_seed, trials[t])
-        scen = build_scenario(config, rng, sigma_q, sigma_v_sq)
+    scens = []
+    for t, trial in enumerate(trials):
+        scen = build_scenario(config, trial_rng(config.run.master_seed, trial), sigma_q, sigma_v_sq)
         packet = scen.draw_block(packet_len)[0]
         eta[t : t + 1], factors[t : t + 1] = blind.tracker_inputs(
-            packet, state.mu, state.epsilon, config.blind.normalized, trials[t]
+            packet, state.mu, state.epsilon, config.blind.normalized, trial
         )
         state.w[t] = combine.mf_weights(scen.h_hat).w
         packets[:, t] = packet
-        return scen
-
-    scens = list(pool.map(assemble, range(width)))
+        scens.append(scen)
+    start = stages["assemble"].add(width, start)
     weights, decisions = blind.run_packet(
         state,
         packets,
@@ -335,26 +399,56 @@ def _track_group(
         collect_decisions=collect_decisions,
         first_trial=trials[0],
     )
+    stages["track"].add(width * passes * packet_len, start)
     return scens, weights, decisions
+
+
+def _fig3_shard(
+    config: ExperimentConfig,
+    trials: range,
+    sigma_q: float,
+    sigma_v_sq: float,
+    schedule: list[int],
+) -> tuple[np.ndarray, dict[str, Stage]]:
+    """Assemble, track and score one shard of ``run_fig3``'s trials.
+
+    Returns a (len(trials), 3 + len(schedule)) array, one row per trial:
+    its MF-perfect, MMSE-perfect and MF-contaminated levels, then the
+    blind SINR at each point of ``schedule``; and the shard's stages.
+    """
+    stages = _stages("score", "combiners")
+    rows = []
+    for group in _trial_groups(config, trials):
+        scens, weights, _ = _track_group(
+            config, group, sigma_q, sigma_v_sq, config.blind.passes, stages, snapshots=schedule
+        )
+        start = time.perf_counter()
+        for t, scen in enumerate(scens):
+            x_probe, s_probe = scen.draw_block(config.blind.probe_symbols)
+            refs = [w.w for w in reference_weights(scen, config)]
+            rows.append(probe_sinrs(np.vstack(refs + [weights[:, t]]), x_probe, s_probe))
+        stages["score"].add(len(scens) * (3 + len(schedule)), start)
+    return np.array(rows), stages
 
 
 def run_fig3(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     """SINR-trajectory experiment; writes trajectory.csv and summary.csv.
 
-    Trials run in groups of ``_trial_groups``, each in three stages:
-    assemble every trial's scenario, packet and tracker inputs on the
-    run's thread pool; track the whole group over its cyclically reused
-    packets, keeping the weights at every point of the probe schedule;
-    then score on the pool, one task per trial: draw the trial's held-out
-    block, and measure the three reference levels and the SINR of each
-    kept weight vector on it with one ``probe_sinrs`` call.  The main thread turns the SINR rows,
-    in trial order, into the crossing of the MF-perfect level and the
-    final gap to MMSE.  One probe block per worker is alive at a time.
+    The trials run in shards of ``_run_shards``.  A shard takes its trials
+    in groups of ``_trial_groups``, each in three stages: assemble every
+    trial's scenario, packet and tracker inputs; track the whole group over
+    its cyclically reused packets, keeping the weights at every point of
+    the probe schedule; then score each trial: draw its held-out block, and
+    measure the three reference levels and the SINR of each kept weight
+    vector on it with one ``probe_sinrs`` call.  This process turns the
+    SINR rows, in trial order, into the crossing of the MF-perfect level
+    and the final gap to MMSE, and writes the CSVs.
 
     A noiseless config (``noise.target_sinr_db`` = inf) has no MMSE
     reference, so it fails before any trial runs.
 
-    Returns the output paths and the per-trial trajectories.
+    Returns the output paths, the per-trial trajectories and the summed
+    ``stages``.
     """
     out_dir = out_dir or config.run.out_dir
     sigma_v_sq = calibrate_noise(config)
@@ -366,46 +460,30 @@ def run_fig3(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     total = config.blind.packet_len * config.blind.passes
     schedule = _probe_schedule(config, total)
     sigma_q = float(np.sqrt(resolve_sigma_q_sq(config)))
+    shard = partial(
+        _fig3_shard, config, sigma_q=sigma_q, sigma_v_sq=sigma_v_sq, schedule=schedule
+    )
+    results, stages = _run_shards(shard, config.run.num_trials)
     traj_rows = []
     summary_rows = []
     trajectories = []
-    with ThreadPoolExecutor(WORKERS) as pool:
-        for trials in _trial_groups(config):
-            scens, weights, _ = _track_group(
-                config,
-                trials,
-                sigma_q,
-                sigma_v_sq,
-                config.blind.passes,
-                pool,
-                snapshots=schedule,
-            )
-
-            def score(t: int) -> np.ndarray:
-                scen = scens[t]
-                x_probe, s_probe = scen.draw_block(config.blind.probe_symbols)
-                refs = [w.w for w in reference_weights(scen, config)]
-                return probe_sinrs(np.vstack(refs + [weights[:, t]]), x_probe, s_probe)
-
-            for trial, sinrs in zip(trials, pool.map(score, range(len(trials)))):
-                level_mf, level_mmse, level_contam = sinrs[:3].tolist()
-                trajectory = list(zip(schedule, sinrs[3:].tolist()))
-                trajectories.append(
-                    {
-                        "trial": trial,
-                        "trajectory": trajectory,
-                        "mf": level_mf,
-                        "mmse": level_mmse,
-                        "contam": level_contam,
-                    }
-                )
-                for iteration, sinr in trajectory:
-                    traj_rows.append(
-                        (trial, iteration, sinr, level_mf, level_mmse, level_contam)
-                    )
-                crossing = next((it for it, v in trajectory if v >= level_mf), -1)
-                final = trajectory[-1][1]
-                summary_rows.append((trial, crossing, final, level_mmse - final))
+    for trial, sinrs in enumerate(np.vstack(results)):
+        level_mf, level_mmse, level_contam = sinrs[:3].tolist()
+        trajectory = list(zip(schedule, sinrs[3:].tolist()))
+        trajectories.append(
+            {
+                "trial": trial,
+                "trajectory": trajectory,
+                "mf": level_mf,
+                "mmse": level_mmse,
+                "contam": level_contam,
+            }
+        )
+        for iteration, sinr in trajectory:
+            traj_rows.append((trial, iteration, sinr, level_mf, level_mmse, level_contam))
+        crossing = next((it for it, v in trajectory if v >= level_mf), -1)
+        final = trajectory[-1][1]
+        summary_rows.append((trial, crossing, final, level_mmse - final))
 
     traj_path = os.path.join(out_dir, "trajectory.csv")
     summary_path = os.path.join(out_dir, "summary.csv")
@@ -415,19 +493,61 @@ def run_fig3(config: ExperimentConfig, out_dir: str | None = None) -> dict:
         "trajectory_csv": traj_path,
         "summary_csv": summary_path,
         "trials": trajectories,
+        "stages": stages,
     }
+
+
+def _eye_shard(
+    config: ExperimentConfig,
+    trials: range,
+    sigma_q: float,
+    sigma_v_sq: float,
+    passes: int,
+    bounds: np.ndarray,
+) -> tuple[tuple[np.ndarray, str], dict[str, Stage]]:
+    """Assemble and track one shard of ``run_eye``'s trials, then format them.
+
+    Returns the shard's (len(trials), num_buckets) eye openings and its
+    eye.csv rows as one text, in trial order; and the shard's stages.
+    """
+    stages = _stages("format", "rows")
+    spb = config.eye.samples_per_bucket
+    starts = bounds[:-1].tolist()
+    ends = [min(lo + spb, hi) for lo, hi in zip(starts, bounds[1:].tolist())]
+    rows_per_trial = sum(end - lo for lo, end in zip(starts, ends))
+    openings = []
+    lines = []
+    for group in _trial_groups(config, trials):
+        _, _, decisions = _track_group(
+            config, group, sigma_q, sigma_v_sq, passes, stages, collect_decisions=True
+        )
+        start = time.perf_counter()
+        decisions = np.ascontiguousarray(decisions.T)
+        openings.append(np.minimum.reduceat(np.abs(decisions), bounds[:-1], axis=1))
+        lines.extend(
+            _eye_rows(lo, row[lo:end].tolist())
+            for row in decisions
+            for lo, end in zip(starts, ends)
+        )
+        stages["format"].add(len(group) * rows_per_trial, start)
+    return (np.vstack(openings), "".join(lines)), stages
 
 
 def run_eye(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     """Eye-pattern experiment; writes eye.csv and eye_opening.csv.
 
     Pre-decision outputs s_hat are collected during adaptation, for a
-    group of trials at a time (assembled, with their tracker inputs, on
-    the run's thread pool), and split into iteration buckets
-    b * total // num_buckets (labeled by their start iteration).  The per-bucket eye opening is
-    min |s_hat| over all decisions in the bucket (the closest approach to
-    the decision threshold, as read off a classic eye diagram); eye.csv
-    logs up to ``eye.samples_per_bucket`` samples per bucket for plotting.
+    group of trials at a time (in shards of ``_run_shards``), and split
+    into iteration buckets b * total // num_buckets (labeled by their
+    start iteration).  The per-bucket eye opening is min |s_hat| over all
+    decisions in the bucket (the closest approach to the decision
+    threshold, as read off a classic eye diagram); eye.csv logs up to
+    ``eye.samples_per_bucket`` samples per bucket for plotting.  Each
+    shard formats its own eye.csv rows; this process writes the shards'
+    rows and the openings in trial order.
+
+    Returns the output paths, the (num_trials, num_buckets) openings and
+    the summed ``stages``.
     """
     out_dir = out_dir or config.run.out_dir
     passes = -(-config.eye.updates // config.blind.packet_len)
@@ -438,37 +558,27 @@ def run_eye(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     bounds = np.arange(num_buckets + 1) * total // num_buckets
     sigma_q = float(np.sqrt(resolve_sigma_q_sq(config)))
     sigma_v_sq = calibrate_noise(config)
-    num_trials = config.run.num_trials
-    decisions = np.empty((num_trials, total))
-    with ThreadPoolExecutor(WORKERS) as pool:
-        for trials in _trial_groups(config):
-            _, _, group = _track_group(
-                config, trials, sigma_q, sigma_v_sq, passes, pool, collect_decisions=True
-            )
-            decisions[trials.start : trials.stop] = group.T
-    openings = np.minimum.reduceat(np.abs(decisions), bounds[:-1], axis=1)
-
-    spb = config.eye.samples_per_bucket
-    starts = bounds[:-1].tolist()
-    ends = [min(lo + spb, hi) for lo, hi in zip(starts, bounds[1:].tolist())]
-    eye_lines = (
-        _eye_rows(lo, row[lo:end].tolist())
-        for row in decisions
-        for lo, end in zip(starts, ends)
+    shard = partial(
+        _eye_shard, config, sigma_q=sigma_q, sigma_v_sq=sigma_v_sq, passes=passes, bounds=bounds
     )
+    results, stages = _run_shards(shard, config.run.num_trials)
+    openings = np.vstack([shard_openings for shard_openings, _ in results])
+
+    starts = bounds[:-1].tolist()
     opening_lines = (
         EYE_OPENING_ROW % (trial, lo, opening)
-        for trial in range(num_trials)
-        for lo, opening in zip(starts, openings[trial].tolist())
+        for trial, row in enumerate(openings.tolist())
+        for lo, opening in zip(starts, row)
     )
     eye_path = os.path.join(out_dir, "eye.csv")
     opening_path = os.path.join(out_dir, "eye_opening.csv")
-    _write_csv(eye_path, EYE_HEADER, eye_lines)
+    _write_csv(eye_path, EYE_HEADER, (text for _, text in results))
     _write_csv(opening_path, EYE_OPENING_HEADER, opening_lines)
     return {
         "eye_csv": eye_path,
         "eye_opening_csv": opening_path,
         "openings": openings,
+        "stages": stages,
     }
 
 

@@ -1,3 +1,4 @@
+import multiprocessing
 import re
 import statistics
 import threading
@@ -49,6 +50,15 @@ def test_simulate_writes_csvs(tmp_path, capsys):
     summary = (tmp_path / "summary.csv").read_text().splitlines()[1:]
     finals = [float(row.split(",")[2]) for row in summary]
     assert f"2 trials, final blind SINR median {statistics.median(finals):.2f} dB" in out
+    # one line per stage with its work count: 2 trials of 4 passes over
+    # 50-vector packets, and 3 reference levels plus one SINR per probe row
+    probe_rows = len((tmp_path / "trajectory.csv").read_text().splitlines()) - 1
+    stages = [line.split(" in ")[0] for line in out.splitlines() if line.startswith("stage ")]
+    assert stages == [
+        "stage assemble: 2 trials",
+        "stage track: 400 trial-updates",
+        f"stage score: {2 * 3 + probe_rows} combiners",
+    ]
 
 
 def test_seed_changes_output(tmp_path):
@@ -74,7 +84,15 @@ def test_eye_subcommand(tmp_path, capsys):
     assert rc == 0
     assert (tmp_path / "eye.csv").exists()
     assert (tmp_path / "eye_opening.csv").exists()
-    assert "eye opening improved" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "eye opening improved" in out
+    # 200 updates are 4 passes over 50-vector packets; 4 buckets of 5 rows
+    stages = [line.split(" in ")[0] for line in out.splitlines() if line.startswith("stage ")]
+    assert stages == [
+        "stage assemble: 2 trials",
+        "stage track: 400 trial-updates",
+        "stage format: 40 rows",
+    ]
 
 
 def test_gaussianity_subcommand(tmp_path, capsys):
@@ -185,6 +203,8 @@ def test_noiseless_simulate_fails_but_eye_runs(tmp_path, capsys, monkeypatch):
 
 
 def test_divergence_exits_one_without_csv(tmp_path, capsys):
+    # a FloatingPointError raised in a worker process reaches main as one
+    # line, and the run leaves no worker process behind
     extra = ("--override", "blind.mu=3", "--override", "blind.normalized=false")
     rc = cli.main(["simulate", *small_args(tmp_path, extra)])
     err = capsys.readouterr().err
@@ -193,16 +213,19 @@ def test_divergence_exits_one_without_csv(tmp_path, capsys):
     assert re.search(r"weights of trial [01] are non-finite at iteration \d+", err)
     assert err.count("\n") == 1
     assert not any(tmp_path.iterdir())
+    assert multiprocessing.active_children() == []
 
 
 def test_worker_error_exits_two_and_leaves_no_thread(tmp_path, capsys, monkeypatch):
-    # a ValueError raised inside a pool worker reaches main as one line;
-    # every run, failed or not, joins its worker threads before returning
+    # a ValueError raised inside a worker process reaches main as one line;
+    # every run, failed or not, joins its worker processes and the pool's
+    # threads before returning
     monkeypatch.setattr(harness, "WORKERS", 3)
     before = threading.active_count()
     for command in ("simulate", "eye"):
         assert cli.main([command, *small_args(tmp_path / "ok")]) == 0
         assert threading.active_count() == before
+        assert multiprocessing.active_children() == []
     capsys.readouterr()
 
     build = harness.build_scenario
@@ -218,12 +241,14 @@ def test_worker_error_exits_two_and_leaves_no_thread(tmp_path, capsys, monkeypat
         assert rc == 2
         assert capsys.readouterr().err == "cmtmimo: error: planted failure in trial 1\n"
         assert threading.active_count() == before
+        assert multiprocessing.active_children() == []
     assert not (tmp_path / "bad").exists()
 
 
 def test_nonfinite_packet_names_its_trial(tmp_path, capsys, monkeypatch):
-    # a NaN in trial 1's packet is caught in that trial's assembly task:
-    # one line naming the trial, exit 2, no CSV and no thread left behind
+    # a NaN in trial 1's packet is caught in that trial's assembly, in its
+    # worker process: one line naming the trial, exit 2, no CSV and no
+    # process or thread left behind
     monkeypatch.setattr(harness, "WORKERS", 3)
     before = threading.active_count()
     draw = harness.TrialScenario.draw_block
@@ -242,6 +267,7 @@ def test_nonfinite_packet_names_its_trial(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err == "cmtmimo: error: packet of trial 1 contains non-finite entries\n"
         assert threading.active_count() == before
+        assert multiprocessing.active_children() == []
     assert not any(tmp_path.iterdir())
 
 

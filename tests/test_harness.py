@@ -1,5 +1,5 @@
+import os
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -191,27 +191,59 @@ def test_csv_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
         ).read_bytes(), name
 
 
-def test_tracker_inputs_are_built_on_the_pool(tmp_path, monkeypatch):
-    # every trial's steps and block factors are built in its assembly task,
-    # never on the main thread, whatever the pool's size
-    names = []
+def test_tracker_inputs_are_built_once_per_trial_in_its_shard(tmp_path, monkeypatch):
+    # every trial's steps and block factors are built once, by the process
+    # that runs the trial's shard: with several shards that is a worker
+    # process, never this one; with one shard it is this process
+    log = tmp_path / "pids"
     for name in ("step_sizes", "block_factors"):
         build = getattr(kernels, name)
 
         def recorded(*args, build=build):
-            names.append(threading.current_thread().name)
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
             return build(*args)
 
         monkeypatch.setattr(kernels, name, recorded)
     cfg = tiny_config(trials=3)
+    parent = str(os.getpid())
     for workers in (1, 2):
         monkeypatch.setattr(harness, "WORKERS", workers)
         for run in (harness.run_fig3, harness.run_eye):
-            names.clear()
+            log.write_text("")
             run(cfg, str(tmp_path / str(workers)))
-            assert len(names) == 2 * cfg.run.num_trials
-            assert "MainThread" not in names
-            assert threading.main_thread().name == "MainThread"
+            pids = log.read_text().split()
+            assert len(pids) == 2 * cfg.run.num_trials
+            if workers == 1:
+                assert set(pids) == {parent}
+            else:
+                assert parent not in pids
+                assert 1 <= len(set(pids)) <= workers
+
+
+def test_stages_count_the_work(tmp_path, monkeypatch):
+    # the summed stage counts are the run's work, however it is sharded
+    cfg = tiny_config(trials=3)
+    trials, packet_len = cfg.run.num_trials, cfg.blind.packet_len
+    schedule = harness._probe_schedule(cfg, packet_len * cfg.blind.passes)
+    eye_passes = -(-cfg.eye.updates // packet_len)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(harness, "WORKERS", workers)
+        fig3 = harness.run_fig3(cfg, str(tmp_path))["stages"]
+        assert {name: stage.count for name, stage in fig3.items()} == {
+            "assemble": trials,
+            "track": trials * cfg.blind.passes * packet_len,
+            "score": trials * (3 + len(schedule)),
+        }
+        eye = harness.run_eye(cfg, str(tmp_path))["stages"]
+        assert {name: stage.count for name, stage in eye.items()} == {
+            "assemble": trials,
+            "track": trials * eye_passes * packet_len,
+            "format": trials * cfg.eye.num_buckets * cfg.eye.samples_per_bucket,
+        }
+        assert [stage.unit for stage in fig3.values()] == ["trials", "trial-updates", "combiners"]
+        assert [stage.unit for stage in eye.values()] == ["trials", "trial-updates", "rows"]
+        assert all(stage.seconds > 0.0 for stage in [*fig3.values(), *eye.values()])
 
 
 def test_trial_rows_do_not_depend_on_num_trials(tmp_path):
