@@ -31,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from . import airlink, blind, channel, cmt, combine, kernels, topology
+from . import airlink, blas, blind, channel, cmt, combine, kernels, topology
 from .config import ExperimentConfig
 
 TRAJECTORY_HEADER = (
@@ -317,19 +317,26 @@ def _run_shards(shard, num_trials: int) -> tuple[list, dict[str, Stage]]:
     the package again (about a second, mostly scipy) and would not see
     the caller's run-time state.  The pool forks every worker before it
     starts its own thread, so a caller that runs no other thread forks a
-    single-threaded process.
+    single-threaded process.  Every shard runs with one OpenBLAS thread
+    (``blas.one_thread``; the workers inherit it), so the shards run as
+    many threads as CPUs and the results do not depend on the BLAS
+    thread count; this process's count is restored afterwards.
     """
     num = min(WORKERS, num_trials)
     ranges = [range(k * num_trials // num, (k + 1) * num_trials // num) for k in range(num)]
-    if num == 1:
-        outputs = [shard(ranges[0])]
-    else:
-        # imported here so that importing the package loads no multiprocessing
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    restore_blas = blas.one_thread()
+    try:
+        if num == 1:
+            outputs = [shard(ranges[0])]
+        else:
+            # imported here so that importing the package loads no multiprocessing
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(num, mp_context=multiprocessing.get_context("fork")) as pool:
-            outputs = list(pool.map(shard, ranges))
+            with ProcessPoolExecutor(num, mp_context=multiprocessing.get_context("fork")) as pool:
+                outputs = list(pool.map(shard, ranges))
+    finally:
+        restore_blas()
     stages = {name: Stage(stage.unit) for name, stage in outputs[0][1].items()}
     for _, shard_stages in outputs:
         for name, stage in shard_stages.items():
@@ -338,12 +345,10 @@ def _run_shards(shard, num_trials: int) -> tuple[list, dict[str, Stage]]:
     return [result for result, _ in outputs], stages
 
 
-def _trial_groups(config: ExperimentConfig, trials: range | None = None) -> list[range]:
-    """Consecutive ranges of ``trials`` (default: all of the run's) whose
-    packet stacks fit in ``GROUP_BYTES``."""
+def _trial_groups(config: ExperimentConfig, trials: range) -> list[range]:
+    """Consecutive ranges of ``trials`` whose packet stacks fit in ``GROUP_BYTES``."""
     trial_bytes = config.blind.packet_len * config.channel.num_antennas * 16
     width = max(1, GROUP_BYTES // trial_bytes)
-    trials = range(config.run.num_trials) if trials is None else trials
     return [trials[lo : lo + width] for lo in range(0, len(trials), width)]
 
 
