@@ -19,6 +19,7 @@ Elsewhere, or with another BLAS, ``one_thread`` changes nothing.
 from __future__ import annotations
 
 import ctypes
+from collections.abc import Callable
 
 # (prefix, suffix) of the OpenBLAS entry points in known builds
 _NAMINGS = (("", ""), ("scipy_", "64_"), ("scipy_", ""), ("", "64_"))
@@ -50,7 +51,7 @@ def _openblas_libraries() -> list:
     return libraries
 
 
-def one_thread():
+def one_thread() -> Callable[[], None]:
     """Put every loaded OpenBLAS on one thread; returns a function that
     restores the thread counts found.  Processes forked in between
     inherit the one thread."""

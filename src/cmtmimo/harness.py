@@ -19,7 +19,7 @@ A shard draws only from its own trials' generators, and this process
 writes the shards' rows in trial order, so the CSV bytes do not depend
 on the number of workers.  Worker processes are forked, since the
 kernel's many small numpy calls hold the GIL and so gain nothing from
-threads.
+threads, and every shard runs on one OpenBLAS thread (``blas``).
 """
 
 from __future__ import annotations
