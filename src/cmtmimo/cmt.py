@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft
 
 
 @dataclass(frozen=True)
@@ -211,6 +211,19 @@ def _random_multipath(config: CmtConfig, rng: np.random.Generator) -> np.ndarray
     return fir
 
 
+def _multipath_pass(x: np.ndarray, fir: np.ndarray) -> np.ndarray:
+    """``x`` convolved with ``fir``, cut to ``x.size`` samples.
+
+    These are the transforms ``scipy.signal.fftconvolve`` runs for complex
+    inputs of at least two samples each (``_random_multipath`` has two taps
+    or more), so the result is bit-equal to it.  ``scipy.signal`` is not
+    imported: it loads ``scipy.stats``, ``scipy.interpolate`` and
+    ``scipy.optimize``, about a second of every CLI start.
+    """
+    n = fft.next_fast_len(x.size + fir.size - 1)
+    return fft.ifft(fft.fft(x, n) * fft.fft(fir, n))[: x.size]
+
+
 class Loopback(NamedTuple):
     """One noiseless loopback run of ``intrinsic_loopback``."""
 
@@ -275,7 +288,7 @@ def measure_intrinsic_stats(
     # the multipath pass's FFT is the call's memory peak: free the loopback first
     del frames, y, q
 
-    x_multipath = fftconvolve(x, _random_multipath(config, rng))[: x.size]
+    x_multipath = _multipath_pass(x, _random_multipath(config, rng))
     u = cmt_demodulate(x_multipath, config, num_symbols=num_frames)[:, interior].real.ravel()
     u_c = u - u.mean()
     return IntrinsicStats(

@@ -314,7 +314,7 @@ def _run_shards(shard, num_trials: int) -> tuple[list, dict[str, Stage]]:
     raised here, with its type and message, after every worker has exited.
 
     Workers are forked rather than spawned: a spawned worker would import
-    the package again (about a second, mostly scipy) and would not see
+    the package again (0.6 s, half of it scipy.fft) and would not see
     the caller's run-time state.  The pool forks every worker before it
     starts its own thread, so a caller that runs no other thread forks a
     single-threaded process.  Every shard runs with one OpenBLAS thread

@@ -209,3 +209,28 @@ def test_polyphase_matches_direct_form(
     for k in range(num_subcarriers):
         y_direct = direct_demodulate(samples, k, cfg, num_symbols)
         assert np.max(np.abs(y[k] - y_direct)) <= tol
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_samples=st.integers(2, 5000),
+    num_taps=st.integers(2, 300),
+    tap_fraction=st.sampled_from([0.02, 0.5, 1.0]),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_multipath_pass_matches_fftconvolve_and_direct_form(
+    seed, num_samples, num_taps, tap_fraction, scale
+):
+    from scipy.signal import fftconvolve
+
+    rng = np.random.default_rng(seed)
+    x = scale * (rng.standard_normal(num_samples) + 1j * rng.standard_normal(num_samples))
+    # sparse FIRs like _random_multipath's, with the first and last tap kept
+    fir = rng.standard_normal(num_taps) + 1j * rng.standard_normal(num_taps)
+    fir[1:-1][rng.random(num_taps - 2) >= tap_fraction] = 0.0
+
+    out = cmt._multipath_pass(x, fir)
+    assert np.array_equal(out, fftconvolve(x, fir)[:num_samples])
+    direct = np.convolve(x, fir)[:num_samples]
+    assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))
