@@ -11,13 +11,11 @@ where R = E[s^2] / E[|s|] is the dispersion constant of the PAM alphabet
 at p = 1.  The decision variable is the real part of the combiner output
 (CMT decisions are real PAM), and the update is the instantaneous
 gradient of the Godard p = 1 cost (|y| - R)^2.  ``blind_step`` is the
-one-update reference; ``run_packet`` tracks one trial or a (T, N) batch
-of trials with the block-exact ``kernels.track_segment`` and hands back
-copies of the weights at requested iterations for the caller to score
-(the experiments use ``harness.probe_sinrs``).  The kernel's per-packet
-inputs come from ``tracker_inputs``, which every caller runs on the
-packet first; they depend only on each trial's own packet column, so the
-experiments build them one trial at a time, as each trial is assembled.
+one-update reference; ``run_packet`` checks a packet, builds its
+per-update steps and block factors, and tracks one trial or a (T, N)
+batch of trials with the block-exact ``kernels.track_segment``.  It
+hands back copies of the weights at requested iterations for the caller
+to score (the experiments use ``harness.probe_sinrs``).
 """
 
 from __future__ import annotations
@@ -123,43 +121,12 @@ def blind_step(
     return state, s_hat
 
 
-def tracker_inputs(
-    packet: np.ndarray, mu: float, epsilon: float, normalized: bool, first_trial: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Check a packet and build the kernel inputs ``run_packet`` tracks it with.
-
-    ``packet`` is one trial's (P, N) received vectors or a (P, T, N) batch.
-    Returns the (T, P) steps of ``kernels.step_sizes`` and the block factors
-    of ``kernels.block_factors``, with T = 1 for one trial.  Row t of both
-    depends only on packet column t, so trials built one at a time and
-    stacked equal a build of the whole batch.
-
-    Raises ValueError naming the first trial (counted from ``first_trial``)
-    whose packet holds a non-finite entry.  An overflowing step or factor
-    raises no numpy warning: a row that overflows diverges, and
-    ``run_packet`` reports that once, naming the trial.
-    """
-    packet = np.ascontiguousarray(packet, dtype=complex)
-    if packet.ndim not in (2, 3) or packet.shape[0] == 0:
-        raise ValueError("packet must be a nonempty (P, N) or (P, T, N) array")
-    batch = packet.reshape(packet.shape[0], -1, packet.shape[-1])
-    finite = np.isfinite(batch)
-    if not finite.all():
-        trial = first_trial + int(np.argmin(finite.all(axis=(0, 2))))
-        raise ValueError(f"packet of trial {trial} contains non-finite entries")
-    # an overflow here surfaces once, as the divergence run_packet reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        eta = kernels.step_sizes(batch, mu, epsilon, normalized)
-        return eta, kernels.block_factors(batch, eta)
-
-
 def run_packet(
     state: BlindTrackerState,
     packet: np.ndarray,
-    eta: np.ndarray,
-    factors: np.ndarray,
     passes: int,
     snapshots=(),
+    normalized: bool = True,
     collect_decisions: bool = False,
     first_trial: int = 0,
 ):
@@ -174,19 +141,20 @@ def run_packet(
     packet : ndarray, shape (P,) + state.w.shape
         Received vectors: (P, N) for one trial, (P, T, N) for a batch (the
         hidden truth stays with the caller).
-    eta, factors : ndarray
-        The packet's steps and block factors from ``tracker_inputs``,
-        built with ``state.mu`` and ``state.epsilon``.
     passes : int
         Number of cyclic passes (>= 1).
     snapshots : sequence of int
         Strictly increasing iterations (update counts relative to this
         call, 0 for the starting weights) at which to copy the weights.
+    normalized : bool
+        Steps 2 mu / (x^H x + epsilon) when true, else 2 mu
+        (``kernels.step_sizes``).
     collect_decisions : bool
         Also return the full pre-update decision sequence, used by the
         eye-pattern experiment.
     first_trial : int
-        Trial number of the first row, used to name a diverging trial.
+        Trial number of the first row, used to name a bad or diverging
+        trial.
 
     Returns
     -------
@@ -197,12 +165,17 @@ def run_packet(
 
     Raises
     ------
+    ValueError
+        On a bad packet, pass count or snapshot list.  For a packet that
+        holds a non-finite entry, the message names the first trial
+        affected.
     FloatingPointError
         When the weights turn non-finite; the message names the first
         trial affected and the iteration reached.  Checked after every
-        kernel segment, so no snapshot holds non-finite weights.  Kernel
-        segments run with numpy's overflow and invalid warnings off, so
-        this error is the one signal of a divergence.
+        kernel segment, so no snapshot holds non-finite weights.  The
+        steps, factors and kernel segments run with numpy's overflow and
+        invalid warnings off, so this error is the one signal of a
+        divergence.
     """
     shape = state.w.shape
     packet = np.ascontiguousarray(packet, dtype=complex)
@@ -222,11 +195,10 @@ def run_packet(
     # the kernel works on a (T, N) batch; one trial is a batch of one
     w = state.w.reshape(-1, shape[-1])
     batch = packet.reshape(packet.shape[0], *w.shape)
-    num_blocks = -(-packet.shape[0] // kernels.BLOCK)
-    if eta.shape != (w.shape[0], packet.shape[0]) or factors.shape != (
-        w.shape[0], num_blocks, kernels.BLOCK, kernels.BLOCK
-    ):
-        raise ValueError("steps or block factors disagree with the packet")
+    finite = np.isfinite(batch)
+    if not finite.all():
+        trial = first_trial + int(np.argmin(finite.all(axis=(0, 2))))
+        raise ValueError(f"packet of trial {trial} contains non-finite entries")
     weights = np.empty((len(stops),) + w.shape, dtype=complex)
     decisions = np.empty((total, w.shape[0])) if collect_decisions else None
     pos = 0
@@ -245,9 +217,12 @@ def run_packet(
                 f"at iteration {state.iteration} (mu={state.mu})"
             )
 
-    # overflow on the way to divergence is reported once, by the finite-weights
-    # check after each segment, not as numpy warnings from the kernel
+    # overflow on the way to divergence, in the steps, the factors or the
+    # kernel, is reported once, by the finite-weights check after each
+    # segment, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        eta = kernels.step_sizes(batch, state.mu, state.epsilon, normalized)
+        factors = kernels.block_factors(batch, eta)
         for j, stop in enumerate(stops):
             if stop > pos:
                 advance(stop)

@@ -10,14 +10,13 @@ per-subcarrier model is independent across subcarriers.
 
 ``run_fig3`` and ``run_eye`` split the trials into contiguous shards,
 one per worker process (``WORKERS``; see ``_run_shards``).  A shard runs
-serially in one process: it assembles each trial's scenario, packet and
-tracker inputs (steps and block factors), tracks a group of trials at a
-time with the batched kernel, then finishes each trial: ``run_fig3``
-scores its probe block, ``run_eye`` formats its eye.csv rows.  Each
-stage is timed and counted, and a run returns the sums as ``stages``.
-A shard draws only from its own trials' generators, and this process
-writes the shards' rows in trial order, so the CSV bytes do not depend
-on the number of workers.  Worker processes are forked, since the
+serially in one process: it assembles each trial's scenario and packet,
+tracks a group of trials at a time with the batched kernel, then
+finishes each trial: ``run_fig3`` scores its probe block, ``run_eye``
+formats its eye.csv rows.  Each stage is timed and counted, and a run
+returns the sums as ``stages``.  A shard draws only from its own
+trials' generators, and this process writes the shards' rows in trial
+order, so the CSV bytes do not depend on the number of workers.  Worker processes are forked, since the
 kernel's many small numpy calls hold the GIL and so gain nothing from
 threads, and every shard runs on one OpenBLAS thread (``blas``).
 """
@@ -31,7 +30,7 @@ from functools import partial
 
 import numpy as np
 
-from . import airlink, blas, blind, channel, cmt, combine, kernels, topology
+from . import airlink, blas, blind, channel, cmt, combine, topology
 from .config import ExperimentConfig
 
 TRAJECTORY_HEADER = (
@@ -246,8 +245,8 @@ def reference_weights(scen: TrialScenario, config: ExperimentConfig):
 
 def initial_state(config: ExperimentConfig, num_trials: int) -> blind.BlindTrackerState:
     """Batched tracker state for a group of ``num_trials`` trials.  Its
-    weights are zero until trial t's assembly task starts row t at the MF
-    on the trial's contaminated estimate.  The step is ``blind.mu``, the
+    weights are zero until the group's assembly starts row t at the MF
+    on trial t's contaminated estimate.  The step is ``blind.mu``, the
     regularizer epsilon is 1e-12 per antenna and R is the alphabet's
     p = 1 dispersion constant."""
     return blind.BlindTrackerState(
@@ -307,11 +306,12 @@ def _stages(finish: str, unit: str) -> dict[str, Stage]:
 def _run_shards(shard, num_trials: int) -> tuple[list, dict[str, Stage]]:
     """Run ``shard(trials)`` on ``min(WORKERS, num_trials)`` contiguous trial ranges.
 
-    ``shard`` returns its result and its stages.  One range runs in this
-    process; more run in as many forked worker processes, each range
-    serially in one process.  Returns the results in trial order and the
-    stages summed over the shards.  An exception raised in a shard is
-    raised here, with its type and message, after every worker has exited.
+    ``shard`` returns its result and its stages.  A single range runs in
+    this process; several each run in a forked worker process, serially,
+    while this process waits for them.  Returns the results in trial
+    order and the stages summed over the shards.  An exception raised in
+    a shard is raised here, with its type and message, after every worker
+    has exited.
 
     Workers are forked rather than spawned: a spawned worker would import
     the package again (0.6 s, half of it scipy.fft) and would not see
@@ -365,42 +365,34 @@ def _track_group(
     """Assemble a group of trials, then track them as one batch.
 
     Assembly builds each trial's scenario from its own generator and draws
-    its packet; the generator is left right after the packet, where the
-    trial's probe block comes from.  It then fills the trial's share of
-    the group's tracker inputs: row t of the starting weights, column t of
-    the (P, T, N) packet stack, and row t of the steps and block factors
-    of ``blind.tracker_inputs``, built from the packet alone (which also
-    rejects a non-finite packet, naming the trial).  The stack lives only
-    while the group is tracked.  Both stages are timed and counted into
-    ``stages``.  Returns the scenarios in trial order plus the weight
-    snapshots and decisions of ``blind.run_packet``.
+    its packet into column t of the group's (P, T, N) packet stack; the
+    generator is left right after the packet, where the trial's probe
+    block comes from.  Row t of the starting weights is the MF on the
+    trial's contaminated estimate.  ``blind.run_packet`` then checks the
+    stack (naming a trial whose packet is non-finite), builds its steps
+    and block factors and tracks it.  The stack lives only while the
+    group is tracked.  Both stages are timed and counted into ``stages``.
+    Returns the scenarios in trial order plus the weight snapshots and
+    decisions of ``blind.run_packet``.
     """
     start = time.perf_counter()
     packet_len = config.blind.packet_len
     width = len(trials)
     state = initial_state(config, width)
     packets = np.empty((packet_len, width, config.channel.num_antennas), dtype=complex)
-    eta = np.empty((width, packet_len))
-    num_blocks = -(-packet_len // kernels.BLOCK)
-    factors = np.empty((width, num_blocks, kernels.BLOCK, kernels.BLOCK))
     scens = []
     for t, trial in enumerate(trials):
         scen = build_scenario(config, trial_rng(config.run.master_seed, trial), sigma_q, sigma_v_sq)
-        packet = scen.draw_block(packet_len)[0]
-        eta[t : t + 1], factors[t : t + 1] = blind.tracker_inputs(
-            packet, state.mu, state.epsilon, config.blind.normalized, trial
-        )
+        packets[:, t] = scen.draw_block(packet_len)[0]
         state.w[t] = combine.mf_weights(scen.h_hat).w
-        packets[:, t] = packet
         scens.append(scen)
     start = stages["assemble"].add(width, start)
     weights, decisions = blind.run_packet(
         state,
         packets,
-        eta,
-        factors,
         passes,
         snapshots=snapshots,
+        normalized=config.blind.normalized,
         collect_decisions=collect_decisions,
         first_trial=trials[0],
     )
@@ -441,9 +433,9 @@ def run_fig3(config: ExperimentConfig, out_dir: str | None = None) -> dict:
 
     The trials run in shards of ``_run_shards``.  A shard takes its trials
     in groups of ``_trial_groups``, each in three stages: assemble every
-    trial's scenario, packet and tracker inputs; track the whole group over
-    its cyclically reused packets, keeping the weights at every point of
-    the probe schedule; then score each trial: draw its held-out block, and
+    trial's scenario and packet; track the whole group over its
+    cyclically reused packets, keeping the weights at every point of the
+    probe schedule; then score each trial: draw its held-out block, and
     measure the three reference levels and the SINR of each kept weight
     vector on it with one ``probe_sinrs`` call.  This process turns the
     SINR rows, in trial order, into the crossing of the MF-perfect level

@@ -286,8 +286,7 @@ def _check_blind_equilibrium(seed):
     x = r * w / np.real(np.vdot(w, w))  # makes Re{w^H x} = r exactly
     packet = np.tile(x, (5, 1))
     state = blind.BlindTrackerState(w=w.copy(), mu=0.1, epsilon=1e-12, R=r)
-    eta, factors = blind.tracker_inputs(packet, state.mu, state.epsilon, True)
-    blind.run_packet(state, packet, eta, factors, passes=3)
+    blind.run_packet(state, packet, passes=3)
     drift = np.max(np.abs(state.w - w)) / np.max(np.abs(w))
     assert drift < 1e-12, f"fixed point drifted {drift:.2e}"
     return f"packet on the dispersion circle leaves w unchanged ({drift:.1e})"
@@ -334,10 +333,7 @@ def _check_blind_cost_descent(seed):
         state = blind.BlindTrackerState(
             w=combine.mf_weights(h_hat).w, mu=0.05, epsilon=1e-12 * n
         )
-        eta, factors = blind.tracker_inputs(packet, state.mu, state.epsilon, True)
-        weights, _ = blind.run_packet(
-            state, packet, eta, factors, passes=4, snapshots=range(50, 2001, 50)
-        )
+        weights, _ = blind.run_packet(state, packet, passes=4, snapshots=range(50, 2001, 50))
         med_curves.append(harness.probe_sinrs(weights, xp, sp))
     median = np.median(np.asarray(med_curves), axis=0)
     smooth = np.convolve(median, np.ones(5) / 5, mode="valid")

@@ -9,12 +9,6 @@ def start(h, mu=0.05):
     return blind.BlindTrackerState(w=combine.mf_weights(h).w, mu=mu, epsilon=1e-12 * h.size)
 
 
-def track(state, packet, passes, normalized=True, **kwargs):
-    """``run_packet`` on inputs built as every caller builds them."""
-    eta, factors = blind.tracker_inputs(packet, state.mu, state.epsilon, normalized)
-    return blind.run_packet(state, packet, eta, factors, passes, **kwargs)
-
-
 def test_binary_alphabet_moments():
     alpha = blind.PamAlphabet.binary()
     assert np.array_equal(alpha.levels, [-1.0, 1.0])
@@ -118,14 +112,14 @@ def test_run_packet_probe_every_iteration():
     packet = rng.standard_normal((25, 4)) + 1j * rng.standard_normal((25, 4))
     h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     state = start(h)
-    weights, decisions = track(state, packet, passes=1, snapshots=range(1, 26))
+    weights, decisions = blind.run_packet(state, packet, passes=1, snapshots=range(1, 26))
     assert weights.shape == (25, 4)
     assert decisions is None
     assert state.iteration == 25
     assert np.array_equal(weights[-1], state.w)
     step = start(h)
     for i in range(25):
-        track(step, packet[i : i + 1], passes=1)
+        blind.run_packet(step, packet[i : i + 1], passes=1)
         assert np.array_equal(weights[i], step.w)
 
 
@@ -135,16 +129,16 @@ def test_run_packet_cadence_and_final_probe():
     packet = rng.standard_normal((10, 4)) + 1j * rng.standard_normal((10, 4))
     h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     state = start(h)
-    weights, _ = track(state, packet, passes=3, snapshots=[7, 14, 21, 28])
+    weights, _ = blind.run_packet(state, packet, passes=3, snapshots=[7, 14, 21, 28])
     assert weights.shape == (4, 4)
     assert state.iteration == 30
     for stop, w in zip([7, 14, 21, 28], weights):
         ref = start(h)
         full, rest = divmod(stop, 10)
         if full:
-            track(ref, packet, passes=full)
+            blind.run_packet(ref, packet, passes=full)
         if rest:
-            track(ref, packet[:rest], passes=1)
+            blind.run_packet(ref, packet[:rest], passes=1)
         np.testing.assert_allclose(w, ref.w, rtol=1e-12, atol=0.0)
     assert not np.array_equal(weights[-1], state.w)
 
@@ -155,12 +149,12 @@ def test_run_packet_explicit_probe_iterations_with_zero():
     h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     state = start(h)
     w0 = state.w.copy()
-    weights, _ = track(state, packet, passes=1, snapshots=[0, 5, 10])
+    weights, _ = blind.run_packet(state, packet, passes=1, snapshots=[0, 5, 10])
     assert np.array_equal(weights[0], w0)  # taken before any update
     assert np.array_equal(weights[2], state.w)
     for bad in ([4, 99], [-1, 4], [5, 5], [6, 2]):
         with pytest.raises(ValueError):
-            track(state, packet, passes=1, snapshots=bad)
+            blind.run_packet(state, packet, passes=1, snapshots=bad)
 
 
 def test_run_packet_frozen_tracker_with_zero_mu():
@@ -169,7 +163,7 @@ def test_run_packet_frozen_tracker_with_zero_mu():
     h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     state = start(h, mu=0.0)
     w0 = state.w.copy()
-    weights, _ = track(state, packet, passes=2, snapshots=[10, 20, 30, 40])
+    weights, _ = blind.run_packet(state, packet, passes=2, snapshots=[10, 20, 30, 40])
     assert np.array_equal(state.w, w0)
     assert state.iteration == 40
     assert all(np.array_equal(w, w0) for w in weights)
@@ -184,14 +178,14 @@ def test_run_packet_batch_rows_match_single_trials():
     batch = blind.BlindTrackerState(
         w=np.stack([combine.mf_weights(h).w for h in hs]), mu=0.05, epsilon=1e-12 * n
     )
-    weights, decisions = track(
+    weights, decisions = blind.run_packet(
         batch, packets, passes=2, snapshots=[0, 9, 24], collect_decisions=True
     )
     assert weights.shape == (3, trials, n)
     assert decisions.shape == (24, trials)
     for t in range(trials):
         one = start(hs[t])
-        w_one, d_one = track(
+        w_one, d_one = blind.run_packet(
             one, packets[:, t], passes=2, snapshots=[0, 9, 24], collect_decisions=True
         )
         assert np.array_equal(weights[:, t], w_one)
@@ -204,10 +198,10 @@ def test_run_packet_state_continuity_across_calls():
     packet = rng.standard_normal((30, 8)) + 1j * rng.standard_normal((30, 8))
     h = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     one = start(h)
-    track(one, packet, passes=2)
+    blind.run_packet(one, packet, passes=2)
     two = start(h)
-    track(two, packet, passes=1)
-    track(two, packet, passes=1)
+    blind.run_packet(two, packet, passes=1)
+    blind.run_packet(two, packet, passes=1)
     assert one.iteration == two.iteration == 60
     assert np.allclose(one.w, two.w, rtol=1e-12, atol=0.0)
 
@@ -218,7 +212,7 @@ def test_run_packet_decisions_match_reference_steps():
     h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
 
     fast = start(h, mu=0.04)
-    _, decisions = track(fast, packet, passes=3, collect_decisions=True)
+    _, decisions = blind.run_packet(fast, packet, passes=3, collect_decisions=True)
     assert decisions.shape == (45,)
 
     slow = start(h, mu=0.04)
@@ -234,25 +228,21 @@ def test_run_packet_input_validation():
     state = start(np.ones(4, dtype=complex))
     good = np.ones((5, 4), dtype=complex)
     with pytest.raises(ValueError):
-        track(state, np.ones((5, 3), dtype=complex), passes=1)
+        blind.run_packet(state, np.ones((5, 3), dtype=complex), passes=1)
     with pytest.raises(ValueError):
-        track(state, good, passes=0)
+        blind.run_packet(state, good, passes=0)
     bad = good.copy()
     bad[2, 1] = np.nan
     with pytest.raises(ValueError, match="^packet of trial 0 contains non-finite entries$"):
-        track(state, bad, passes=1)
+        blind.run_packet(state, bad, passes=1)
     # a batch's packet check names the first bad trial, counted from first_trial
     batch = np.ones((5, 3, 4), dtype=complex)
     batch[4, 2, 0] = np.inf
     batch[1, 1, 3] = np.nan
+    trio = blind.BlindTrackerState(w=np.ones((3, 4), dtype=complex), mu=0.05, epsilon=0.0)
     with pytest.raises(ValueError, match="^packet of trial 8 contains non-finite entries$"):
-        blind.tracker_inputs(batch, 0.05, 0.0, True, first_trial=7)
-    # steps and factors must be the packet's own
-    eta, factors = blind.tracker_inputs(good, state.mu, state.epsilon, True)
-    with pytest.raises(ValueError, match="steps or block factors"):
-        blind.run_packet(state, good[:4], eta, factors, passes=1)
-    with pytest.raises(ValueError, match="steps or block factors"):
-        blind.run_packet(state, good, eta, factors[:, :, :5, :5], passes=1)
+        blind.run_packet(trio, batch, passes=1, first_trial=7)
+    assert trio.iteration == 0
 
 
 def test_descent_on_stationary_mixture():
@@ -272,7 +262,7 @@ def test_descent_on_stationary_mixture():
         return np.mean((np.abs(y) - state.R) ** 2)
 
     before = dispersion_cost()
-    track(state, x, passes=10)
+    blind.run_packet(state, x, passes=10)
     after = dispersion_cost()
     assert after < before
 
@@ -288,7 +278,7 @@ def test_run_packet_raises_on_divergence():
     w = np.stack([combine.mf_weights(packet[0, t]).w for t in range(3)])
     state = blind.BlindTrackerState(w=w, mu=3.0, epsilon=0.0)
     with pytest.raises(FloatingPointError, match=r"trial 5 are non-finite at iteration \d+ "):
-        track(
+        blind.run_packet(
             state, packet, passes=10, snapshots=[50, 100, 150],
             normalized=False, first_trial=4,
         )

@@ -246,8 +246,8 @@ def test_worker_error_exits_two_and_leaves_no_thread(tmp_path, capsys, monkeypat
 
 
 def test_nonfinite_packet_names_its_trial(tmp_path, capsys, monkeypatch):
-    # a NaN in trial 1's packet is caught in that trial's assembly, in its
-    # worker process: one line naming the trial, exit 2, no CSV and no
+    # a NaN in trial 1's packet is caught when its group is tracked, in
+    # its worker process: one line naming the trial, exit 2, no CSV and no
     # process or thread left behind
     monkeypatch.setattr(harness, "WORKERS", 3)
     before = threading.active_count()

@@ -1,5 +1,4 @@
 import os
-import sys
 
 import numpy as np
 import pytest
@@ -172,20 +171,14 @@ def test_csv_bytes_do_not_depend_on_group_width(tmp_path, monkeypatch):
 
 
 def test_csv_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
-    # a pool of one and a pool wider than the group write the same bytes:
-    # each task draws only from its own trial's generator, and the rows
-    # come back in trial order; a short switch interval interleaves the
-    # workers as finely as the interpreter allows
+    # one shard and a shard per trial write the same bytes: each shard
+    # draws only from its own trials' generators, and the rows come back
+    # in trial order
     cfg = tiny_config(trials=3)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for workers in (1, 3):
-            monkeypatch.setattr(harness, "WORKERS", workers)
-            harness.run_fig3(cfg, str(tmp_path / str(workers)))
-            harness.run_eye(cfg, str(tmp_path / str(workers)))
-    finally:
-        sys.setswitchinterval(interval)
+    for workers in (1, 3):
+        monkeypatch.setattr(harness, "WORKERS", workers)
+        harness.run_fig3(cfg, str(tmp_path / str(workers)))
+        harness.run_eye(cfg, str(tmp_path / str(workers)))
     for name in ("trajectory.csv", "summary.csv", "eye.csv", "eye_opening.csv"):
         assert (tmp_path / "1" / name).read_bytes() == (
             tmp_path / "3" / name
@@ -218,10 +211,11 @@ def test_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
-def test_tracker_inputs_are_built_once_per_trial_in_its_shard(tmp_path, monkeypatch):
-    # every trial's steps and block factors are built once, by the process
-    # that runs the trial's shard: with several shards that is a worker
-    # process, never this one; with one shard it is this process
+def test_tracker_inputs_are_built_once_per_group_in_its_shard(tmp_path, monkeypatch):
+    # a group's steps and block factors are built once, over the whole
+    # group, by the process that runs the group's shard: with several
+    # shards that is a worker process, never this one; with one shard it
+    # is this process.  Each shard's 1 or 2 trials fit in one group.
     log = tmp_path / "pids"
     for name in ("step_sizes", "block_factors"):
         build = getattr(kernels, name)
@@ -240,7 +234,7 @@ def test_tracker_inputs_are_built_once_per_trial_in_its_shard(tmp_path, monkeypa
             log.write_text("")
             run(cfg, str(tmp_path / str(workers)))
             pids = log.read_text().split()
-            assert len(pids) == 2 * cfg.run.num_trials
+            assert len(pids) == 2 * workers
             if workers == 1:
                 assert set(pids) == {parent}
             else:
@@ -273,21 +267,61 @@ def test_stages_count_the_work(tmp_path, monkeypatch):
         assert all(stage.seconds > 0.0 for stage in [*fig3.values(), *eye.values()])
 
 
-def test_trial_rows_do_not_depend_on_num_trials(tmp_path):
+def test_trial_rows_do_not_depend_on_num_trials(tmp_path, monkeypatch):
+    # trials 0 and 1 write the same rows in a run of 2 trials and of 3, on
+    # one worker or two: trial 1 is the second trial of the only shard,
+    # the only trial of the second shard or the first of two there.
+    # eye.csv has no trial column, but its rows come in trial order.
     runs = {}
-    for trials in (2, 3):
-        out = tmp_path / str(trials)
-        harness.run_fig3(tiny_config(trials=trials), str(out))
-        runs[trials] = {
-            name: [
-                row
-                for row in (out / name).read_text().splitlines()[1:]
-                if row.split(",")[0] in ("0", "1")
-            ]
-            for name in ("trajectory.csv", "summary.csv")
-        }
-    assert runs[2] == runs[3]
-    assert len(runs[2]["summary.csv"]) == 2
+    for workers in (1, 2):
+        monkeypatch.setattr(harness, "WORKERS", workers)
+        for trials in (2, 3):
+            out = tmp_path / f"{workers}-{trials}"
+            cfg = tiny_config(trials=trials)
+            harness.run_fig3(cfg, str(out))
+            harness.run_eye(cfg, str(out))
+            rows = {
+                name: [
+                    row
+                    for row in (out / name).read_text().splitlines()[1:]
+                    if row.split(",")[0] in ("0", "1")
+                ]
+                for name in ("trajectory.csv", "summary.csv", "eye_opening.csv")
+            }
+            eye = (out / "eye.csv").read_text().splitlines()[1:]
+            assert len(eye) % trials == 0
+            rows["eye.csv"] = eye[: 2 * len(eye) // trials]
+            runs[workers, trials] = rows
+    assert len(runs[1, 2]["summary.csv"]) == 2
+    assert len(runs[1, 2]["eye_opening.csv"]) == 2 * tiny_config().eye.num_buckets
+    for key, rows in runs.items():
+        assert rows == runs[1, 2], key
+
+
+def test_summary_is_derived_from_the_trajectory(tmp_path):
+    # every summary.csv row follows from its trial's trajectory.csv rows:
+    # the first probe whose blind SINR reaches the MF-perfect level (-1 if
+    # none does), the last blind SINR, and the MMSE level minus it.  These
+    # 4 trials include crossings and a trial that never crosses.
+    harness.run_fig3(tiny_config(trials=4), str(tmp_path))
+    trajectories = {}
+    for row in (tmp_path / "trajectory.csv").read_text().splitlines()[1:]:
+        trial, iteration, blind_db, mf_db, mmse_db, _ = row.split(",")
+        trajectories.setdefault(int(trial), []).append(
+            (int(iteration), float(blind_db), float(mf_db), float(mmse_db), blind_db)
+        )
+    summary = (tmp_path / "summary.csv").read_text().splitlines()[1:]
+    assert len(summary) == len(trajectories) == 4
+    crossings = []
+    for row in summary:
+        trial, crossing, final, gap = row.split(",")
+        probes = trajectories[int(trial)]
+        expected = next((it for it, b, mf, _, _ in probes if b >= mf), -1)
+        assert int(crossing) == expected, row
+        crossings.append(expected)
+        assert final == probes[-1][4], row
+        assert float(gap) == pytest.approx(probes[-1][3] - probes[-1][1], rel=1e-10, abs=1e-10)
+    assert -1 in crossings and max(crossings) > 0
 
 
 def test_run_fig3_never_crossing_writes_sentinel(tmp_path):

@@ -7,9 +7,9 @@ from cmtmimo import blind, kernels
 
 
 def _track(w, x, start, count, mu, eps, r, normalized, s_out=None):
-    """``track_segment`` on the steps and factors every caller builds."""
-    eta, factors = blind.tracker_inputs(x, mu, eps, normalized)
-    kernels.track_segment(w, x, eta, factors, start, count, r, s_out)
+    """``track_segment`` on the steps and factors ``blind.run_packet`` builds."""
+    eta = kernels.step_sizes(x, mu, eps, normalized)
+    kernels.track_segment(w, x, eta, kernels.block_factors(x, eta), start, count, r, s_out)
 
 
 def test_python_kernel_single_step_hand_oracle():
@@ -171,27 +171,34 @@ def test_block_factors_rows_are_independent():
 def test_tracker_inputs_built_per_trial_equal_the_group_build(
     seed, n, blocks, tail, trials, mu, eps, normalized, overflowing
 ):
-    # the harness builds each trial's steps and factors in its own
-    # assembly task from its (P, N) packet column; stacked, they must be
-    # bit-equal to one build over the (P, T, N) group, short tail block
-    # included.  An overflowing column raises no warning (pytest turns
-    # RuntimeWarning into an error) and stays in its own rows.
+    # row t of the steps and block factors depends only on packet column t:
+    # built from that (P, 1, N) column alone, it is bit-equal to row t of
+    # one build over the (P, T, N) group, short tail block included.  An
+    # overflowing column stays in its own rows, and ``run_packet``, which
+    # builds the same inputs, raises no warning for it (pytest turns
+    # RuntimeWarning into an error): at most its own trial diverges.
     packet_len = max(1, blocks * kernels.BLOCK + tail)
     x = _packet(np.random.default_rng(seed), packet_len, trials, n)
     if overflowing is not None and overflowing < trials:
         x[:, overflowing] *= 1e160
-    columns = [
-        blind.tracker_inputs(x[:, t], mu, eps, normalized, first_trial=t) for t in range(trials)
-    ]
-    eta = np.concatenate([c[0] for c in columns])
-    factors = np.concatenate([c[1] for c in columns])
     with np.errstate(over="ignore", invalid="ignore"):
-        group_eta = kernels.step_sizes(x, mu, eps, normalized)
-        group_factors = kernels.block_factors(x, group_eta)
-    assert np.array_equal(eta, group_eta, equal_nan=True)
-    assert np.array_equal(factors, group_factors, equal_nan=True)
-    if overflowing is not None and overflowing < trials and packet_len > 1:
+        eta = kernels.step_sizes(x, mu, eps, normalized)
+        factors = kernels.block_factors(x, eta)
+        for t in range(trials):
+            column = np.ascontiguousarray(x[:, t : t + 1])
+            alone = kernels.step_sizes(column, mu, eps, normalized)
+            assert np.array_equal(alone, eta[t : t + 1], equal_nan=True)
+            assert np.array_equal(
+                kernels.block_factors(column, alone), factors[t : t + 1], equal_nan=True
+            )
+    if overflowing is None or overflowing >= trials:
+        return
+    if packet_len > 1:
         assert not np.all(np.isfinite(factors[overflowing]))
-    whole = blind.tracker_inputs(x, mu, eps, normalized)
-    assert np.array_equal(whole[0], eta, equal_nan=True)
-    assert np.array_equal(whole[1], factors, equal_nan=True)
+    state = blind.BlindTrackerState(w=np.ones((trials, n), dtype=complex), mu=mu, epsilon=eps)
+    try:
+        blind.run_packet(state, x, 1, normalized=normalized)
+    except FloatingPointError as exc:
+        assert f"weights of trial {overflowing} are non-finite" in str(exc)
+    others = np.arange(trials) != overflowing
+    assert np.all(np.isfinite(state.w[others]))
