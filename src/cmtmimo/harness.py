@@ -13,17 +13,22 @@ one per worker process (``WORKERS``; see ``_run_shards``).  A shard runs
 serially in one process: it assembles each trial's scenario and packet,
 tracks a group of trials at a time with the batched kernel, then
 finishes each trial: ``run_fig3`` scores its probe block, ``run_eye``
-formats its eye.csv rows.  Each stage is timed and counted, and a run
-returns the sums as ``stages``.  A shard draws only from its own
+writes its eye.csv rows to the shard's part file.  The shards share one
+packet budget (``GROUP_BYTES``), so the run's packet memory does not
+grow with the number of workers.  Each stage is timed and counted, and
+a run returns the sums as ``stages``.  A shard draws only from its own
 trials' generators, and this process writes the shards' rows in trial
-order, so the CSV bytes do not depend on the number of workers.  Worker processes are forked, since the
-kernel's many small numpy calls hold the GIL and so gain nothing from
-threads, and every shard runs on one OpenBLAS thread (``blas``).
+order, so the CSV bytes do not depend on the number of workers.  Worker
+processes are forked, since the kernel's many small numpy calls hold
+the GIL and so gain nothing from threads, and every shard runs on one
+OpenBLAS thread (``blas``).
 """
 
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -266,8 +271,9 @@ def _probe_schedule(config: ExperimentConfig, total: int) -> list[int]:
     return sorted(stops)
 
 
-# Packet-stack bytes tracked as one batch: 20 trials of the default
-# 1000 x 128 complex packet.  Wider batches add memory, not speed.
+# Packet-stack bytes a run tracks at once, shared among its shards: 20
+# trials of the default 1000 x 128 complex packet on one worker, 10 per
+# shard on two.  Wider batches add memory, not speed.
 GROUP_BYTES = 40 * 2**20
 
 # Processes that run trial shards: one per CPU this process may run on
@@ -303,15 +309,24 @@ def _stages(finish: str, unit: str) -> dict[str, Stage]:
     return {"assemble": Stage("trials"), "track": Stage("trial-updates"), finish: Stage(unit)}
 
 
+def _shard_count(num_trials: int) -> int:
+    """Shards a run of ``num_trials`` trials splits into: one per worker,
+    at most one per trial."""
+    return min(WORKERS, num_trials)
+
+
 def _run_shards(shard, num_trials: int) -> tuple[list, dict[str, Stage]]:
-    """Run ``shard(trials)`` on ``min(WORKERS, num_trials)`` contiguous trial ranges.
+    """Run ``shard(trials)`` on ``_shard_count(num_trials)`` contiguous trial ranges.
 
     ``shard`` returns its result and its stages.  A single range runs in
     this process; several each run in a forked worker process, serially,
-    while this process waits for them.  Returns the results in trial
-    order and the stages summed over the shards.  An exception raised in
-    a shard is raised here, with its type and message, after every worker
-    has exited.
+    while this process waits for them.  The shards run at once, so they
+    share the run's packet budget: each tracks groups of at most
+    ``GROUP_BYTES`` over the shard count (``_trial_groups``).  A shard
+    should return little, since its result is pickled back to this
+    process.  Returns the results in trial order and the stages summed
+    over the shards.  An exception raised in a shard is raised here, with
+    its type and message, after every worker has exited.
 
     Workers are forked rather than spawned: a spawned worker would import
     the package again (0.6 s, half of it scipy.fft) and would not see
@@ -322,7 +337,7 @@ def _run_shards(shard, num_trials: int) -> tuple[list, dict[str, Stage]]:
     many threads as CPUs and the results do not depend on the BLAS
     thread count; this process's count is restored afterwards.
     """
-    num = min(WORKERS, num_trials)
+    num = _shard_count(num_trials)
     ranges = [range(k * num_trials // num, (k + 1) * num_trials // num) for k in range(num)]
     restore_blas = blas.one_thread()
     try:
@@ -346,9 +361,12 @@ def _run_shards(shard, num_trials: int) -> tuple[list, dict[str, Stage]]:
 
 
 def _trial_groups(config: ExperimentConfig, trials: range) -> list[range]:
-    """Consecutive ranges of ``trials`` whose packet stacks fit in ``GROUP_BYTES``."""
+    """Consecutive ranges of ``trials``, one shard's, whose packet stacks
+    fit in the shard's share of ``GROUP_BYTES``: with every shard of the
+    run tracking a group at once, the run's stacks fit in ``GROUP_BYTES``
+    (a group holds at least one trial, however large its packet)."""
     trial_bytes = config.blind.packet_len * config.channel.num_antennas * 16
-    width = max(1, GROUP_BYTES // trial_bytes)
+    width = max(1, GROUP_BYTES // _shard_count(config.run.num_trials) // trial_bytes)
     return [trials[lo : lo + width] for lo in range(0, len(trials), width)]
 
 
@@ -501,11 +519,15 @@ def _eye_shard(
     sigma_v_sq: float,
     passes: int,
     bounds: np.ndarray,
+    part_dir: str,
 ) -> tuple[tuple[np.ndarray, str], dict[str, Stage]]:
     """Assemble and track one shard of ``run_eye``'s trials, then format them.
 
-    Returns the shard's (len(trials), num_buckets) eye openings and its
-    eye.csv rows as one text, in trial order; and the shard's stages.
+    The shard writes its eye.csv rows, without the header and in trial
+    order, to a part file in ``part_dir`` named after its first trial,
+    one group at a time, so no process holds the rows' text.  Returns
+    the shard's (len(trials), num_buckets) eye openings and the part
+    file's path; and the shard's stages.
     """
     stages = _stages("format", "rows")
     spb = config.eye.samples_per_bucket
@@ -513,21 +535,22 @@ def _eye_shard(
     ends = [min(lo + spb, hi) for lo, hi in zip(starts, bounds[1:].tolist())]
     rows_per_trial = sum(end - lo for lo, end in zip(starts, ends))
     openings = []
-    lines = []
-    for group in _trial_groups(config, trials):
-        _, _, decisions = _track_group(
-            config, group, sigma_q, sigma_v_sq, passes, stages, collect_decisions=True
-        )
-        start = time.perf_counter()
-        decisions = np.ascontiguousarray(decisions.T)
-        openings.append(np.minimum.reduceat(np.abs(decisions), bounds[:-1], axis=1))
-        lines.extend(
-            _eye_rows(lo, row[lo:end].tolist())
-            for row in decisions
-            for lo, end in zip(starts, ends)
-        )
-        stages["format"].add(len(group) * rows_per_trial, start)
-    return (np.vstack(openings), "".join(lines)), stages
+    part = os.path.join(part_dir, f"eye-{trials[0]}.part")
+    with open(part, "w", encoding="utf-8", newline="\n") as fh:
+        for group in _trial_groups(config, trials):
+            _, _, decisions = _track_group(
+                config, group, sigma_q, sigma_v_sq, passes, stages, collect_decisions=True
+            )
+            start = time.perf_counter()
+            decisions = np.ascontiguousarray(decisions.T)
+            openings.append(np.minimum.reduceat(np.abs(decisions), bounds[:-1], axis=1))
+            fh.writelines(
+                _eye_rows(lo, row[lo:end].tolist())
+                for row in decisions
+                for lo, end in zip(starts, ends)
+            )
+            stages["format"].add(len(group) * rows_per_trial, start)
+    return (np.vstack(openings), part), stages
 
 
 def run_eye(config: ExperimentConfig, out_dir: str | None = None) -> dict:
@@ -540,8 +563,11 @@ def run_eye(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     decisions in the bucket (the closest approach to the decision
     threshold, as read off a classic eye diagram); eye.csv logs up to
     ``eye.samples_per_bucket`` samples per bucket for plotting.  Each
-    shard formats its own eye.csv rows; this process writes the shards'
-    rows and the openings in trial order.
+    shard writes its own eye.csv rows to a part file in a temporary
+    directory (the system's, so a failed run leaves no ``out_dir``); this
+    process then copies the parts into eye.csv as bytes and writes the
+    openings, both in trial order.  The parts are removed whether the
+    run succeeds or fails.
 
     Returns the output paths, the (num_trials, num_buckets) openings and
     the summed ``stages``.
@@ -555,10 +581,23 @@ def run_eye(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     bounds = np.arange(num_buckets + 1) * total // num_buckets
     sigma_q = float(np.sqrt(resolve_sigma_q_sq(config)))
     sigma_v_sq = calibrate_noise(config)
-    shard = partial(
-        _eye_shard, config, sigma_q=sigma_q, sigma_v_sq=sigma_v_sq, passes=passes, bounds=bounds
-    )
-    results, stages = _run_shards(shard, config.run.num_trials)
+    eye_path = os.path.join(out_dir, "eye.csv")
+    with tempfile.TemporaryDirectory() as part_dir:
+        shard = partial(
+            _eye_shard,
+            config,
+            sigma_q=sigma_q,
+            sigma_v_sq=sigma_v_sq,
+            passes=passes,
+            bounds=bounds,
+            part_dir=part_dir,
+        )
+        results, stages = _run_shards(shard, config.run.num_trials)
+        _write_csv(eye_path, EYE_HEADER, ())
+        with open(eye_path, "ab") as out:
+            for _, part in results:
+                with open(part, "rb") as fh:
+                    shutil.copyfileobj(fh, out)
     openings = np.vstack([shard_openings for shard_openings, _ in results])
 
     starts = bounds[:-1].tolist()
@@ -567,9 +606,7 @@ def run_eye(config: ExperimentConfig, out_dir: str | None = None) -> dict:
         for trial, row in enumerate(openings.tolist())
         for lo, opening in zip(starts, row)
     )
-    eye_path = os.path.join(out_dir, "eye.csv")
     opening_path = os.path.join(out_dir, "eye_opening.csv")
-    _write_csv(eye_path, EYE_HEADER, (text for _, text in results))
     _write_csv(opening_path, EYE_OPENING_HEADER, opening_lines)
     return {
         "eye_csv": eye_path,

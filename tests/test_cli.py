@@ -1,6 +1,7 @@
 import multiprocessing
 import re
 import statistics
+import tempfile
 import threading
 
 import numpy as np
@@ -219,13 +220,17 @@ def test_divergence_exits_one_without_csv(tmp_path, capsys):
 def test_worker_error_exits_two_and_leaves_no_thread(tmp_path, capsys, monkeypatch):
     # a ValueError raised inside a worker process reaches main as one line;
     # every run, failed or not, joins its worker processes and the pool's
-    # threads before returning
+    # threads and removes eye's part files before returning
     monkeypatch.setattr(harness, "WORKERS", 3)
+    parts = tmp_path / "tmp"
+    parts.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(parts))
     before = threading.active_count()
     for command in ("simulate", "eye"):
         assert cli.main([command, *small_args(tmp_path / "ok")]) == 0
         assert threading.active_count() == before
         assert multiprocessing.active_children() == []
+        assert not any(parts.iterdir())
     capsys.readouterr()
 
     build = harness.build_scenario
@@ -242,14 +247,19 @@ def test_worker_error_exits_two_and_leaves_no_thread(tmp_path, capsys, monkeypat
         assert capsys.readouterr().err == "cmtmimo: error: planted failure in trial 1\n"
         assert threading.active_count() == before
         assert multiprocessing.active_children() == []
+        assert not any(parts.iterdir())
     assert not (tmp_path / "bad").exists()
 
 
 def test_nonfinite_packet_names_its_trial(tmp_path, capsys, monkeypatch):
     # a NaN in trial 1's packet is caught when its group is tracked, in
     # its worker process: one line naming the trial, exit 2, no CSV and no
-    # process or thread left behind
+    # process, thread or part file left behind
     monkeypatch.setattr(harness, "WORKERS", 3)
+    parts = tmp_path / "tmp"
+    parts.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(parts))
+    out = tmp_path / "out"
     before = threading.active_count()
     draw = harness.TrialScenario.draw_block
 
@@ -262,13 +272,14 @@ def test_nonfinite_packet_names_its_trial(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(harness.TrialScenario, "draw_block", planted)
     for command in ("simulate", "eye"):
-        rc = cli.main([command, *small_args(tmp_path)])
+        rc = cli.main([command, *small_args(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert err == "cmtmimo: error: packet of trial 1 contains non-finite entries\n"
         assert threading.active_count() == before
         assert multiprocessing.active_children() == []
-    assert not any(tmp_path.iterdir())
+        assert not any(parts.iterdir())
+    assert not out.exists()
 
 
 def test_flag_overrides_apply_after_file(tmp_path):

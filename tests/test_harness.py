@@ -154,7 +154,9 @@ def test_run_fig3_outputs(tmp_path):
 
 def test_csv_bytes_do_not_depend_on_group_width(tmp_path, monkeypatch):
     # one batch of 3 trials against groups of 2 and 1: each trial's rows
-    # come from its own generator and its own row of the batched kernel
+    # come from its own generator and its own row of the batched kernel.
+    # One shard takes the whole budget, so the split is the budget's.
+    monkeypatch.setattr(harness, "WORKERS", 1)
     cfg = tiny_config(trials=3)
     harness.run_fig3(cfg, str(tmp_path / "one"))
     harness.run_eye(cfg, str(tmp_path / "one"))
@@ -168,6 +170,35 @@ def test_csv_bytes_do_not_depend_on_group_width(tmp_path, monkeypatch):
         assert (tmp_path / "one" / name).read_bytes() == (
             tmp_path / "split" / name
         ).read_bytes(), name
+
+
+def test_shards_share_one_packet_budget(monkeypatch):
+    # every shard tracks a group at once, so the shard count times the
+    # widest group fits in GROUP_BYTES, unless a group is a single trial;
+    # the groups are as wide as the budget allows and cover each shard
+    cfg = tiny_config()
+    trial_bytes = cfg.blind.packet_len * cfg.channel.num_antennas * 16
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(harness, "WORKERS", workers)
+        for trials in (1, 2, 5, 12):
+            cfg.run.num_trials = trials
+            shards = min(workers, trials)
+            ranges = [
+                range(k * trials // shards, (k + 1) * trials // shards) for k in range(shards)
+            ]
+            for scale in (0.5, 1, 2, 2.5, 3, 7, 40):
+                budget = int(scale * trial_bytes)
+                monkeypatch.setattr(harness, "GROUP_BYTES", budget)
+                groups = [harness._trial_groups(cfg, trial_range) for trial_range in ranges]
+                for trial_range, shard_groups in zip(ranges, groups):
+                    assert [t for group in shard_groups for t in group] == list(trial_range)
+                widest = max(len(group) for shard_groups in groups for group in shard_groups)
+                key = (workers, trials, budget)
+                assert widest == 1 or shards * widest * trial_bytes <= budget, key
+                assert (
+                    widest == max(len(r) for r in ranges)
+                    or shards * (widest + 1) * trial_bytes > budget
+                ), key
 
 
 def test_csv_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
