@@ -13,7 +13,10 @@ carrier e^{j2 pi k n / L} has period L, so both directions run in the
 standard filter-bank-multicarrier polyphase form (Siohan, Siclet & Lacroix,
 IEEE TSP 2002; Farhang-Boroujeny, IEEE SPM 2011): one L-point IFFT or FFT
 per symbol plus an (overlap_factor + 1)-tap filter along the symbol axis
-for each of the L phases of the prototype.
+for each of the L phases of the prototype.  Those L filters run at once as
+one FFT convolution along the symbol axis, over num_symbols +
+overlap_factor points: the full length of the synthesis convolution, and
+enough that no analysis output the caller keeps wraps around.
 
 The prototype is a function of ``CmtConfig`` alone, so the transforms
 take only the config and build it themselves (``design_prototype``).
@@ -125,8 +128,9 @@ def _toggle(config: CmtConfig) -> np.ndarray:
 def _polyphase(coefficients: np.ndarray, config: CmtConfig) -> np.ndarray:
     """Filter as an (overlap_factor + 1, L) array: row q holds taps qL..qL+L-1.
 
-    Column r is the r-th polyphase component; the final row carries only the
-    last tap, zero-padded.
+    Column r is the r-th polyphase component, the filter that sample r of
+    every symbol period sees along the symbol axis; the final row carries
+    only the last tap, zero-padded.  ``_prototype_spectrum`` transforms it.
     """
     L = config.num_subcarriers
     rows = config.overlap_factor + 1
@@ -135,12 +139,26 @@ def _polyphase(coefficients: np.ndarray, config: CmtConfig) -> np.ndarray:
     return padded.reshape(rows, L)
 
 
+def _prototype_spectrum(config: CmtConfig, size: int) -> np.ndarray:
+    """``size``-point DFT along the symbol axis of every polyphase component.
+
+    Returns a complex (size, L) array; column r transforms column r of
+    ``_polyphase``.  The prototype is even-symmetric bit for bit, so the
+    matched filter has the same polyphase components and correlating with
+    them multiplies by the conjugate of this spectrum.
+    """
+    return np.fft.fft(_polyphase(design_prototype(config), config), size, axis=0)
+
+
 def cmt_synthesize(pam_frames: np.ndarray, config: CmtConfig) -> np.ndarray:
     """Modulate real PAM frames onto all L subcarriers.
 
     Symbol n of every subcarrier goes through one L-point IFFT; sample
     pL + r of the output is then the r-th polyphase component of the
-    prototype applied along the symbol axis at lag p.
+    prototype convolved with column r of those IFFTs along the symbol
+    axis, at lag p.  All L convolutions run as one FFT convolution of
+    num_symbols + overlap_factor points, the full convolution length, so
+    nothing wraps.
 
     Parameters
     ----------
@@ -155,22 +173,25 @@ def cmt_synthesize(pam_frames: np.ndarray, config: CmtConfig) -> np.ndarray:
     L = config.num_subcarriers
     if frames.ndim != 2 or frames.shape[0] != L:
         raise ValueError(f"pam_frames must have shape ({L}, num_symbols)")
-    num_symbols = frames.shape[1]
+    size = frames.shape[1] + config.overlap_factor
     # row n: sum_k i**k a_k[n] e^{j2 pi k r / L} for r = 0..L-1
-    spectra = L * np.fft.ifft(frames * _toggle(config)[:, None], axis=0).T
-    phases = _polyphase(design_prototype(config), config)
-    out = np.zeros((num_symbols + config.overlap_factor, L), dtype=complex)
-    for q, taps in enumerate(phases):
-        out[q : q + num_symbols] += taps * spectra
-    return out.ravel()
+    spectra = frames * _toggle(config)[:, None]
+    np.fft.ifft(spectra, axis=0, out=spectra)
+    spectra *= L
+    # C order, so the samples come out as a view of it
+    out = np.fft.fft(spectra.T, size, axis=0, out=np.empty((size, L), dtype=complex))
+    del spectra
+    out *= _prototype_spectrum(config, size)
+    return np.fft.ifft(out, axis=0, out=out).ravel()
 
 
 def cmt_demodulate(samples: np.ndarray, config: CmtConfig, num_symbols: int) -> np.ndarray:
     """Demodulate every subcarrier: down-convert and matched-filter.
 
     The matched filter is applied in polyphase form along the symbol axis,
-    then one L-point FFT per decision instant down-converts all L
-    subcarriers at once.
+    as one FFT correlation of num_symbols + overlap_factor points with the
+    conjugated ``_prototype_spectrum``; then one L-point FFT per decision
+    instant down-converts all L subcarriers at once.
 
     Returns
     -------
@@ -185,17 +206,21 @@ def cmt_demodulate(samples: np.ndarray, config: CmtConfig, num_symbols: int) -> 
     overlap = config.overlap_factor
     if num_symbols < 1:
         raise ValueError(f"num_symbols must be >= 1 (got {num_symbols})")
-    # decision n reads samples nL .. nL + overlap*L against the reversed prototype
-    blocks = np.zeros(((num_symbols + overlap) * L), dtype=complex)
+    size = num_symbols + overlap
+    # decision n reads blocks n .. n + overlap, all inside the size-point
+    # transform, so the circular correlation below does not wrap
+    blocks = np.zeros((size, L), dtype=complex)
     used = min(samples.size, blocks.size)
-    blocks[:used] = samples[:used]
-    blocks = blocks.reshape(num_symbols + overlap, L)
-    phases = _polyphase(design_prototype(config)[::-1], config)
-    filtered = np.zeros((num_symbols, L), dtype=complex)
-    for q, taps in enumerate(phases):
-        filtered += taps * blocks[q : q + num_symbols]
-    spectra = np.fft.fft(filtered, axis=1)
-    return spectra.T * np.conj(_toggle(config))[:, None]
+    blocks.reshape(-1)[:used] = samples[:used]
+    np.fft.fft(blocks, axis=0, out=blocks)
+    spectrum = _prototype_spectrum(config, size)
+    blocks *= np.conj(spectrum, out=spectrum)
+    del spectrum
+    np.fft.ifft(blocks, axis=0, out=blocks)
+    spectra = blocks[:num_symbols]
+    np.fft.fft(spectra, axis=1, out=spectra)
+    spectra *= np.conj(_toggle(config))
+    return spectra.T
 
 
 def _random_multipath(config: CmtConfig, rng: np.random.Generator) -> np.ndarray:

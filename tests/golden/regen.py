@@ -9,13 +9,25 @@ to ``tests/golden/<name>/``.  ``manifest.json`` records the runs' CLI
 arguments, the numpy version and the commit the fixtures came from; the
 test reruns exactly those arguments.  A change that regenerates the
 fixtures says so and quotes the largest relative change it made.
+
+    PYTHONPATH=src python tests/golden/regen.py --diff
+
+reruns ``RUNS`` into a temporary directory instead and prints, for each
+fixture, the largest relative change of any float value against the
+committed CSVs.  It writes nothing under ``tests/golden/``.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import csv
+import io
 import json
+import math
 import shutil
 import subprocess
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +70,50 @@ def run(args: list[str], out_dir: Path) -> None:
         raise RuntimeError(f"cmtmimo {' '.join(args)} exited {rc}")
 
 
+# columns that hold integers; every other column holds floats
+INT_COLUMNS = {"trial_id", "iteration", "iteration_bucket", "cross_iteration"}
+
+
+def _relative_change(golden: float, got: float) -> float:
+    if golden == got or (math.isnan(golden) and math.isnan(got)):
+        return 0.0
+    if golden == 0.0 or not (math.isfinite(golden) and math.isfinite(got)):
+        return math.inf
+    return abs(got - golden) / abs(golden)
+
+
+def largest_change(golden_dir: Path, out_dir: Path) -> tuple[float, str]:
+    """Largest relative change of any float value from ``golden_dir``'s CSVs
+    to ``out_dir``'s, and where it is; inf if a file's shape changed."""
+    worst, where = 0.0, "every float value equal"
+    for path in sorted(golden_dir.glob("*.csv")):
+        other = out_dir / path.name
+        if not other.exists():
+            return math.inf, f"{path.name} not written"
+        with open(path, newline="") as fh, open(other, newline="") as other_fh:
+            golden, got = list(csv.reader(fh)), list(csv.reader(other_fh))
+        if golden[0] != got[0] or len(golden) != len(got):
+            return math.inf, f"{path.name}: header or row count changed"
+        header = golden[0]
+        columns = [i for i, name in enumerate(header) if name not in INT_COLUMNS]
+        for line, (golden_row, row) in enumerate(zip(golden[1:], got[1:]), start=2):
+            for i in columns:
+                change = _relative_change(float(golden_row[i]), float(row[i]))
+                if change > worst:
+                    worst, where = change, f"{path.name} line {line} {header[i]}"
+    return worst, where
+
+
+def diff() -> None:
+    """Rerun every fixture into a temporary directory and print its largest change."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, args in RUNS.items():
+            with contextlib.redirect_stdout(io.StringIO()):
+                run(args, Path(tmp) / name)
+            change, where = largest_change(HERE / name, Path(tmp) / name)
+            print(f"{name}: largest relative change {change:.3g} ({where})")
+
+
 def _commit() -> str:
     try:
         return subprocess.run(
@@ -67,7 +123,16 @@ def _commit() -> str:
         return "unknown"
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description="Rewrite or compare the golden CSV fixtures.")
+    parser.add_argument(
+        "--diff",
+        action="store_true",
+        help="print each fixture's largest relative change from a fresh rerun; write nothing",
+    )
+    if parser.parse_args(argv).diff:
+        diff()
+        return
     for name, args in RUNS.items():
         shutil.rmtree(HERE / name, ignore_errors=True)
         run(args, HERE / name)

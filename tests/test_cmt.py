@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cmtmimo import cmt
@@ -48,7 +48,25 @@ def test_prototype_basic_properties():
     c = cmt.design_prototype(cfg)
     assert c.size == cfg.overlap_factor * cfg.num_subcarriers + 1
     assert abs(np.sum(c * c) - 1.0) < 1e-12
-    assert np.max(np.abs(c - c[::-1])) < 1e-12
+    assert np.array_equal(c, c[::-1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    num_subcarriers=st.integers(2, 64),
+    overlap=st.integers(4, 64),
+    rolloff=st.one_of(
+        st.sampled_from([0.125, 0.25, 0.5, 1.0]),
+        st.floats(0.0, 1.0, exclude_min=True),
+    ),
+)
+def test_prototype_is_exactly_even_symmetric(num_subcarriers, overlap, rolloff):
+    # the analysis reuses the synthesis spectrum conjugated, which is the
+    # matched filter only if the prototype equals its reverse bit for bit;
+    # 0.125, 0.25 and 0.5 can put the 1 / (4 rolloff) knee on a sample
+    assume(num_subcarriers * overlap % 2 == 0)
+    c = cmt.design_prototype(make_cfg(num_subcarriers, overlap, rolloff))
+    assert np.array_equal(c, c[::-1])
 
 
 def _nyquist_leakage(overlap):
@@ -185,6 +203,9 @@ def test_measure_intrinsic_stats_rejects_short_runs():
     silent_fraction=st.sampled_from([0.0, 0.5, 1.0]),
     scale=st.sampled_from([1e-3, 1.0, 1e3]),
 )
+# one symbol; and a prime transform size num_symbols + overlap = 13
+@example(seed=1, num_subcarriers=6, overlap=4, num_symbols=1, silent_fraction=0.0, scale=1.0)
+@example(seed=2, num_subcarriers=7, overlap=8, num_symbols=5, silent_fraction=0.0, scale=1.0)
 def test_polyphase_matches_direct_form(
     seed, num_subcarriers, overlap, num_symbols, silent_fraction, scale
 ):
@@ -209,6 +230,35 @@ def test_polyphase_matches_direct_form(
     for k in range(num_subcarriers):
         y_direct = direct_demodulate(samples, k, cfg, num_symbols)
         assert np.max(np.abs(y[k] - y_direct)) <= tol
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_subcarriers=st.integers(2, 24),
+    overlap=st.integers(4, 10),
+    num_symbols=st.integers(1, 10),
+    cut=st.integers(0, 300),
+)
+def test_demodulate_reads_the_stream_zero_padded_or_cut(
+    seed, num_subcarriers, overlap, num_symbols, cut
+):
+    # cmt_demodulate reads exactly (num_symbols + overlap) * L samples:
+    # missing ones count as zero and later ones are ignored
+    assume(num_subcarriers * overlap % 2 == 0)
+    cfg = make_cfg(num_subcarriers=num_subcarriers, overlap=overlap)
+    rng = np.random.default_rng(seed)
+    span = (num_symbols + overlap) * num_subcarriers
+    full = rng.standard_normal(span + cut) + 1j * rng.standard_normal(span + cut)
+    short = full[: max(span - cut, 0)]
+    padded = np.concatenate([short, np.zeros(span - short.size, dtype=complex)])
+    assert np.array_equal(
+        cmt.cmt_demodulate(short, cfg, num_symbols), cmt.cmt_demodulate(padded, cfg, num_symbols)
+    )
+    assert np.array_equal(
+        cmt.cmt_demodulate(full, cfg, num_symbols),
+        cmt.cmt_demodulate(full[:span], cfg, num_symbols),
+    )
 
 
 @settings(max_examples=100, deadline=None)

@@ -15,6 +15,7 @@ import csv
 import importlib.util
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -93,3 +94,19 @@ def test_outputs_match_golden(run, tmp_path, capsys):
     assert names and names == sorted(p.name for p in tmp_path.glob("*.csv"))
     bad = [line for name in names for line in _mismatches(run_dir, name, tmp_path)]
     assert not bad, f"{len(bad)} values left the golden tolerance:\n" + "\n".join(bad[:10])
+
+
+def test_regen_diff_reports_the_largest_relative_change(tmp_path):
+    # the figure ``regen.py --diff`` prints: 0 for equal CSVs, the largest
+    # relative change of a float value otherwise, inf if a file's shape moved
+    run_dir = GOLDEN / "gaussianity"
+    shutil.copy(run_dir / "stats.csv", tmp_path / "stats.csv")
+    assert regen.largest_change(run_dir, tmp_path) == (0.0, "every float value equal")
+    header, (row,) = _read(run_dir / "stats.csv")
+    values = [float(v) for v in row]
+    values[1] *= 1 + 1e-6
+    (tmp_path / "stats.csv").write_text(",".join(header) + "\n" + ",".join(map(repr, values)) + "\n")
+    change, where = regen.largest_change(run_dir, tmp_path)
+    assert change == pytest.approx(1e-6, rel=1e-6) and where == f"stats.csv line 2 {header[1]}"
+    (tmp_path / "stats.csv").write_text(",".join(header) + "\n")
+    assert regen.largest_change(run_dir, tmp_path)[0] == math.inf

@@ -378,6 +378,29 @@ def test_run_eye_outputs(tmp_path):
     assert buckets == {0, 50, 100, 150}
 
 
+def test_eye_openings_are_derived_from_the_eye_rows(tmp_path):
+    # with every decision logged, each eye_opening.csv value is, as text,
+    # the min |sample| over its trial's bucket rows in eye.csv; 200 updates
+    # in 30 buckets gives buckets of 6 and 7 decisions, so a bucket bound
+    # one decision off moves some minimum
+    cfg = tiny_config(trials=3)
+    cfg.eye.num_buckets = 30
+    cfg.eye.samples_per_bucket = cfg.eye.updates
+    harness.run_eye(cfg, str(tmp_path))
+    eye = [row.split(",") for row in (tmp_path / "eye.csv").read_text().splitlines()[1:]]
+    per_trial = len(eye) // cfg.run.num_trials
+    assert per_trial == cfg.eye.updates and len(eye) == per_trial * cfg.run.num_trials
+    expected = {}
+    for i, (bucket, sample) in enumerate(eye):
+        key = (i // per_trial, int(bucket))
+        expected[key] = min(expected.get(key, np.inf), abs(float(sample)))
+    openings = (tmp_path / "eye_opening.csv").read_text().splitlines()[1:]
+    assert len(openings) == len(expected) == cfg.run.num_trials * cfg.eye.num_buckets
+    for row in openings:
+        trial, bucket, opening = row.split(",")
+        assert opening == "%.12g" % expected[int(trial), int(bucket)], row
+
+
 def test_eye_bucket_bounds_are_exact(tmp_path):
     # 1000 updates in 38 buckets: bucket b starts at b * 1000 // 38, with no
     # bound floored from an inexact float (bucket 19 starts at 500, not 499)
