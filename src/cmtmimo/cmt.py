@@ -96,10 +96,13 @@ def _srrc(t: np.ndarray, beta: float) -> np.ndarray:
     den = np.pi * tr * (1.0 - (4.0 * beta * tr) ** 2)
     out[regular] = num / den
     out[at_zero] = 1.0 - beta + 4.0 * beta / np.pi
-    out[at_knee] = (beta / np.sqrt(2.0)) * (
-        (1.0 + 2.0 / np.pi) * np.sin(np.pi / (4.0 * beta))
-        + (1.0 - 2.0 / np.pi) * np.cos(np.pi / (4.0 * beta))
-    )
+    # only when a sample sits on the knee: for a subnormal beta, pi / (4 beta)
+    # overflows and its sine is nan
+    if at_knee.any():
+        out[at_knee] = (beta / np.sqrt(2.0)) * (
+            (1.0 + 2.0 / np.pi) * np.sin(np.pi / (4.0 * beta))
+            + (1.0 - 2.0 / np.pi) * np.cos(np.pi / (4.0 * beta))
+        )
     return out
 
 

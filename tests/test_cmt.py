@@ -60,6 +60,8 @@ def test_prototype_basic_properties():
         st.floats(0.0, 1.0, exclude_min=True),
     ),
 )
+# a subnormal rolloff: pi / (4 rolloff) overflows, so the knee must not be evaluated
+@example(num_subcarriers=2, overlap=4, rolloff=2.225073858507e-311)
 def test_prototype_is_exactly_even_symmetric(num_subcarriers, overlap, rolloff):
     # the analysis reuses the synthesis spectrum conjugated, which is the
     # matched filter only if the prototype equals its reverse bit for bit;
