@@ -5,8 +5,10 @@ rate; adjacent subcarriers are phase-toggled by i**k so that, after matched
 filtering and real-part extraction, inter-symbol and inter-carrier leakage
 lands entirely in the imaginary part (the intrinsic interference q); the
 ``verify`` check ``cmt.perfect_reconstruction`` fails without the toggle.
-This module runs single-antenna loopback only; the array experiments use
-the abstract per-subcarrier model with sigma_q calibrated here.
+This module runs single-antenna loopback only, in one function,
+``measure_intrinsic_stats``: it measures the statistics of q, and its
+sigma_q^2 calibrates the abstract per-subcarrier model that the array
+experiments use.
 
 Synthesis is critically sampled at L samples per symbol period.  The
 carrier e^{j2 pi k n / L} has period L, so both directions run in the
@@ -25,7 +27,6 @@ take only the config and build it themselves (``design_prototype``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy import fft
@@ -128,29 +129,24 @@ def _toggle(config: CmtConfig) -> np.ndarray:
     return np.array([1, 1j, -1, -1j])[np.arange(config.num_subcarriers) % 4]
 
 
-def _polyphase(coefficients: np.ndarray, config: CmtConfig) -> np.ndarray:
-    """Filter as an (overlap_factor + 1, L) array: row q holds taps qL..qL+L-1.
-
-    Column r is the r-th polyphase component, the filter that sample r of
-    every symbol period sees along the symbol axis; the final row carries
-    only the last tap, zero-padded.  ``_prototype_spectrum`` transforms it.
-    """
-    L = config.num_subcarriers
-    rows = config.overlap_factor + 1
-    padded = np.zeros(rows * L)
-    padded[: coefficients.size] = coefficients
-    return padded.reshape(rows, L)
-
-
 def _prototype_spectrum(config: CmtConfig, size: int) -> np.ndarray:
     """``size``-point DFT along the symbol axis of every polyphase component.
 
-    Returns a complex (size, L) array; column r transforms column r of
-    ``_polyphase``.  The prototype is even-symmetric bit for bit, so the
-    matched filter has the same polyphase components and correlating with
-    them multiplies by the conjugate of this spectrum.
+    The prototype, zero-padded to (overlap_factor + 1) L taps, is laid out
+    as an (overlap_factor + 1, L) array whose row q holds taps qL..qL+L-1.
+    Column r is the r-th polyphase component, the filter that sample r of
+    every symbol period sees along the symbol axis.  Returns a complex
+    (size, L) array; column r transforms column r.  The prototype is
+    even-symmetric bit for bit, so the matched filter has the same
+    polyphase components and correlating with them multiplies by the
+    conjugate of this spectrum.
     """
-    return np.fft.fft(_polyphase(design_prototype(config), config), size, axis=0)
+    L = config.num_subcarriers
+    rows = config.overlap_factor + 1
+    coefficients = design_prototype(config)
+    padded = np.zeros(rows * L)
+    padded[: coefficients.size] = coefficients
+    return np.fft.fft(padded.reshape(rows, L), size, axis=0)
 
 
 def cmt_synthesize(pam_frames: np.ndarray, config: CmtConfig) -> np.ndarray:
@@ -252,28 +248,23 @@ def _multipath_pass(x: np.ndarray, fir: np.ndarray) -> np.ndarray:
     return fft.ifft(fft.fft(x, n) * fft.fft(fir, n))[: x.size]
 
 
-class Loopback(NamedTuple):
-    """One noiseless loopback run of ``intrinsic_loopback``."""
-
-    frames: np.ndarray  # (L, num_frames) binary PAM sent on every subcarrier
-    signal: np.ndarray  # the synthesized stream
-    interior: np.ndarray  # (L, num_frames - 2 overlap) demodulated interior symbols
-    sigma_q_sq: float  # variance of the interior's imaginary part q
-
-
-def intrinsic_loopback(
+def measure_intrinsic_stats(
     config: CmtConfig,
     rng: np.random.Generator,
     num_frames: int,
     min_samples: int = 100_000,
-) -> Loopback:
-    """Noiseless synthesize/demodulate loopback over i.i.d. binary PAM.
+) -> IntrinsicStats:
+    """Loopback statistics over i.i.d. binary PAM on all subcarriers.
 
-    Draws ``num_frames`` multicarrier symbols on all subcarriers (its only
-    use of ``rng``), discards ``overlap_factor`` edge symbols on each side
-    and pools the interior of every subcarrier.  This is the part of
-    ``measure_intrinsic_stats`` that fixes sigma_q^2, so a caller that
-    needs only sigma_q^2 skips the multipath pass and gets the same bits.
+    Draws ``num_frames`` multicarrier symbols on all subcarriers from
+    ``rng``, runs them through the noiseless synthesize/demodulate
+    loopback, discards ``overlap_factor`` edge symbols on each side and
+    pools the interior of every subcarrier.  Reports the variance and
+    kurtosis of the imaginary part q, the sign-decision error rate of the
+    equalized real part, and the kurtosis of the real part after passing
+    the same stream through a random multipath channel with no equalizer
+    (the unequalized-symbol statistic).  The channel is drawn from ``rng``
+    after the frames.
 
     Raises if the interior yields fewer than ``min_samples`` symbols.
     """
@@ -285,32 +276,12 @@ def intrinsic_loopback(
             f"num_frames={num_frames} yields {max(interior_per_sub, 0) * L} interior "
             f"symbols; need at least {min_samples}"
         )
+    interior = slice(edge, num_frames - edge)
     frames = rng.choice([-1.0, 1.0], size=(L, num_frames))
     x = cmt_synthesize(frames, config)
-    y = cmt_demodulate(x, config, num_symbols=num_frames)[:, edge : num_frames - edge]
-    return Loopback(frames, x, y, float(y.imag.ravel().var()))
-
-
-def measure_intrinsic_stats(
-    config: CmtConfig,
-    rng: np.random.Generator,
-    num_frames: int,
-    min_samples: int = 100_000,
-) -> IntrinsicStats:
-    """Loopback statistics over i.i.d. binary PAM on all subcarriers.
-
-    Runs the noiseless ``intrinsic_loopback`` and reports the variance and
-    kurtosis of the imaginary part, the sign-decision error rate of the
-    equalized real part, and the kurtosis of the real part after passing
-    the same stream through a random multipath channel with no equalizer
-    (the unequalized-symbol statistic).  The channel is drawn from ``rng``
-    after the frames.
-
-    Raises if the interior yields fewer than ``min_samples`` symbols.
-    """
-    frames, x, y, q_var = intrinsic_loopback(config, rng, num_frames, min_samples)
-    interior = slice(config.overlap_factor, num_frames - config.overlap_factor)
+    y = cmt_demodulate(x, config, num_symbols=num_frames)[:, interior]
     q = y.imag.ravel()
+    q_var = float(q.var())
     kurtosis_imag = float(np.mean((q - q.mean()) ** 4) / q_var**2)
     error_rate = float(np.count_nonzero(np.sign(y.real) != frames[:, interior]) / q.size)
     # the multipath pass's FFT is the call's memory peak: free the loopback first

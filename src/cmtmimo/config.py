@@ -10,7 +10,7 @@ of the type the field is annotated with, is rejected with its full path.
 A value the code derives from other keys has no key of its own: the
 noise variance follows from ``noise.target_sinr_db``, and the tracker's
 regularizer and dispersion constant from the antenna count and the
-alphabet (see ``harness.calibrate_noise`` and ``harness.initial_state``).
+alphabet (see ``harness.calibrate_noise`` and ``harness._track_group``).
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from functools import partial
 import numpy as np
 
 from . import airlink, blas, blind, channel, cmt, combine, topology
-from .config import ExperimentConfig
+from .config import ExperimentConfig, _build
 
 TRAJECTORY_HEADER = (
     "trial_id,iteration,sinr_blind_db,sinr_mf_perfect_db,"
@@ -98,22 +98,29 @@ def calibrate_noise(config: ExperimentConfig) -> float:
     return 2.0 * float(config.channel.num_antennas) * es / 10.0 ** (target / 10.0)
 
 
+def _intrinsic_stats(config: ExperimentConfig, min_samples: int) -> cmt.IntrinsicStats:
+    """``cmt.measure_intrinsic_stats`` at the config's CMT dimensions and
+    ``cmt.num_frames``, seeded from the master seed: a pure function of
+    config + seed.  A config the loopback rejects raises naming its keys."""
+    cmt_config = _build("channel.num_subcarriers/cmt.overlap_factor", config.cmt_config)
+    rng = np.random.default_rng(np.random.SeedSequence(config.run.master_seed))
+    return _build(
+        "cmt.num_frames",
+        partial(cmt.measure_intrinsic_stats, cmt_config, rng, config.cmt.num_frames, min_samples),
+    )
+
+
 def resolve_sigma_q_sq(config: ExperimentConfig) -> float:
     """The intrinsic-interference variance the abstract model should use.
 
     Mode "fixed" returns ``signaling.sigma_q_sq``.  Mode "calibrated"
-    measures it from the CMT loopback, seeded from the master seed so the
-    result is a pure function of config + seed.  It runs only the
-    loopback of ``cmt.measure_intrinsic_stats``, which draws its frames
-    first, so it equals that function's ``sigma_q_sq`` bit for bit.
+    returns the ``sigma_q_sq`` that ``run_gaussianity`` writes to
+    stats.csv for the same config and seed, without its sample floor,
+    scaled by the alphabet's E[s^2].
     """
     if config.signaling.sigma_q_mode == "fixed":
         return float(config.signaling.sigma_q_sq)
-    rng = np.random.default_rng(np.random.SeedSequence(config.run.master_seed))
-    loopback = cmt.intrinsic_loopback(
-        config.cmt_config(), rng, config.cmt.num_frames, min_samples=1
-    )
-    return loopback.sigma_q_sq * config.alphabet().second_moment
+    return _intrinsic_stats(config, min_samples=1).sigma_q_sq * config.alphabet().second_moment
 
 
 @dataclass
@@ -248,20 +255,6 @@ def reference_weights(scen: TrialScenario, config: ExperimentConfig):
     return w_mf, w_mmse, w_contam
 
 
-def initial_state(config: ExperimentConfig, num_trials: int) -> blind.BlindTrackerState:
-    """Batched tracker state for a group of ``num_trials`` trials.  Its
-    weights are zero until the group's assembly starts row t at the MF
-    on trial t's contaminated estimate.  The step is ``blind.mu``, the
-    regularizer epsilon is 1e-12 per antenna and R is the alphabet's
-    p = 1 dispersion constant."""
-    return blind.BlindTrackerState(
-        w=np.zeros((num_trials, config.channel.num_antennas), dtype=complex),
-        mu=config.blind.mu,
-        epsilon=1e-12 * config.channel.num_antennas,
-        R=blind.dispersion_constant(config.alphabet(), 1),
-    )
-
-
 def _probe_schedule(config: ExperimentConfig, total: int) -> list[int]:
     b = config.blind
     stops = set(range(0, min(b.probe_dense_until, total) + 1, b.probe_dense_every))
@@ -385,8 +378,11 @@ def _track_group(
     Assembly builds each trial's scenario from its own generator and draws
     its packet into column t of the group's (P, T, N) packet stack; the
     generator is left right after the packet, where the trial's probe
-    block comes from.  Row t of the starting weights is the MF on the
-    trial's contaminated estimate.  ``blind.run_packet`` then checks the
+    block comes from.  The group's tracker state is built from the
+    assembled trials: row t of its weights is the MF on trial t's
+    contaminated estimate, its step is ``blind.mu``, its regularizer
+    epsilon is 1e-12 per antenna and R is the alphabet's p = 1 dispersion
+    constant.  ``blind.run_packet`` then checks the
     stack (naming a trial whose packet is non-finite), builds its steps
     and block factors and tracks it.  The stack lives only while the
     group is tracked.  Both stages are timed and counted into ``stages``.
@@ -396,14 +392,19 @@ def _track_group(
     start = time.perf_counter()
     packet_len = config.blind.packet_len
     width = len(trials)
-    state = initial_state(config, width)
-    packets = np.empty((packet_len, width, config.channel.num_antennas), dtype=complex)
+    num_antennas = config.channel.num_antennas
+    packets = np.empty((packet_len, width, num_antennas), dtype=complex)
     scens = []
     for t, trial in enumerate(trials):
         scen = build_scenario(config, trial_rng(config.run.master_seed, trial), sigma_q, sigma_v_sq)
         packets[:, t] = scen.draw_block(packet_len)[0]
-        state.w[t] = combine.mf_weights(scen.h_hat).w
         scens.append(scen)
+    state = blind.BlindTrackerState(
+        w=[combine.mf_weights(scen.h_hat).w for scen in scens],
+        mu=config.blind.mu,
+        epsilon=1e-12 * num_antennas,
+        R=blind.dispersion_constant(config.alphabet(), 1),
+    )
     start = stages["assemble"].add(width, start)
     weights, decisions = blind.run_packet(
         state,
@@ -619,8 +620,7 @@ def run_eye(config: ExperimentConfig, out_dir: str | None = None) -> dict:
 def run_gaussianity(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     """CMT loopback statistics; writes stats.csv (one row)."""
     out_dir = out_dir or config.run.out_dir
-    rng = np.random.default_rng(np.random.SeedSequence(config.run.master_seed))
-    stats = cmt.measure_intrinsic_stats(config.cmt_config(), rng, config.cmt.num_frames)
+    stats = _intrinsic_stats(config, min_samples=100_000)
     path = os.path.join(out_dir, "stats.csv")
     row = (
         stats.sigma_q_sq,

@@ -14,7 +14,9 @@ fixtures says so and quotes the largest relative change it made.
 
 reruns ``RUNS`` into a temporary directory instead and prints, for each
 fixture, the largest relative change of any float value against the
-committed CSVs.  It writes nothing under ``tests/golden/``.
+committed CSVs.  It writes nothing under ``tests/golden/``, and exits 1
+if any fixture's change is above ``RTOL`` (the golden tolerance that
+``tests/test_golden.py`` enforces) or is inf, else 0.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import json
 import math
 import shutil
 import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -35,6 +38,9 @@ import numpy as np
 from cmtmimo import cli
 
 HERE = Path(__file__).resolve().parent
+
+# relative tolerance of a float value against its fixture
+RTOL = 1e-9
 
 # three cells with two users each; in-cell gains are 1
 EXPLICIT_GAINS = (
@@ -104,14 +110,18 @@ def largest_change(golden_dir: Path, out_dir: Path) -> tuple[float, str]:
     return worst, where
 
 
-def diff() -> None:
-    """Rerun every fixture into a temporary directory and print its largest change."""
+def diff() -> int:
+    """Rerun every fixture into a temporary directory and print its largest
+    change; returns 1 if any change is above ``RTOL`` (inf included), else 0."""
+    worst = 0.0
     with tempfile.TemporaryDirectory() as tmp:
         for name, args in RUNS.items():
             with contextlib.redirect_stdout(io.StringIO()):
                 run(args, Path(tmp) / name)
             change, where = largest_change(HERE / name, Path(tmp) / name)
             print(f"{name}: largest relative change {change:.3g} ({where})")
+            worst = max(worst, change)
+    return int(worst > RTOL)
 
 
 def _commit() -> str:
@@ -123,7 +133,7 @@ def _commit() -> str:
         return "unknown"
 
 
-def main(argv: list[str] | None = None) -> None:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Rewrite or compare the golden CSV fixtures.")
     parser.add_argument(
         "--diff",
@@ -131,14 +141,14 @@ def main(argv: list[str] | None = None) -> None:
         help="print each fixture's largest relative change from a fresh rerun; write nothing",
     )
     if parser.parse_args(argv).diff:
-        diff()
-        return
+        return diff()
     for name, args in RUNS.items():
         shutil.rmtree(HERE / name, ignore_errors=True)
         run(args, HERE / name)
     manifest = {"numpy": np.__version__, "commit": _commit(), "runs": RUNS}
     (HERE / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -164,13 +164,23 @@ def test_bad_override_raises(tmp_path, capsys):
         (
             "gaussianity --override channel.num_subcarriers=100"
             " --override channel.subcarrier_index=4",
-            "yields 41600 interior symbols; need at least 100000",
+            "cmt.num_frames: num_frames=480 yields 41600 interior symbols; "
+            "need at least 100000",
         ),
         # 101 * 33 is odd: the prototype would have no center sample
         (
             "gaussianity --override channel.num_subcarriers=101"
             " --override cmt.overlap_factor=33 --override cmt.num_frames=100",
-            "num_subcarriers * overlap_factor must be even",
+            "channel.num_subcarriers/cmt.overlap_factor: num_subcarriers * overlap_factor "
+            "must be even",
+        ),
+        # and so is 3 * 5, which a calibrated sigma_q meets before any trial
+        (
+            "simulate --override signaling.sigma_q_mode=calibrated"
+            " --override channel.num_subcarriers=3 --override channel.subcarrier_index=1"
+            " --override cmt.overlap_factor=5",
+            "channel.num_subcarriers/cmt.overlap_factor: num_subcarriers * overlap_factor "
+            "must be even so the prototype has a center sample (got 3 * 5)",
         ),
     ]:
         rc = cli.main([*command.split(), "--out", str(tmp_path)])

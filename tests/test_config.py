@@ -52,7 +52,7 @@ CONFIG_KEYS = {
 }
 
 # noise.sigma_v_sq restated noise.target_sinr_db; blind.epsilon and blind.p
-# restated what harness.initial_state derives
+# restated what harness._track_group derives
 REMOVED_KEYS = ("noise.sigma_v_sq", "blind.epsilon", "blind.p")
 
 

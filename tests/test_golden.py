@@ -23,12 +23,12 @@ import pytest
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
-RTOL = 1e-9
 INT_COLUMNS = {"trial_id", "iteration", "iteration_bucket"}
 
 _spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN / "regen.py")
 regen = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regen)
+RTOL = regen.RTOL
 
 
 def _read(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -110,3 +110,25 @@ def test_regen_diff_reports_the_largest_relative_change(tmp_path):
     assert change == pytest.approx(1e-6, rel=1e-6) and where == f"stats.csv line 2 {header[1]}"
     (tmp_path / "stats.csv").write_text(",".join(header) + "\n")
     assert regen.largest_change(run_dir, tmp_path)[0] == math.inf
+
+
+@pytest.mark.parametrize(
+    "scale, rows, code",
+    [(1.0, 1, 0), (1 + 1e-10, 1, 0), (1 + 1e-8, 1, 1), (1.0, 0, 1)],
+)
+def test_regen_diff_exit_code(scale, rows, code, monkeypatch, capsys):
+    # ``regen.py --diff`` exits 1 when a fixture's change is above RTOL or
+    # inf (a row gone), else 0.  Its reruns here copy the fixtures, with
+    # gaussianity's sigma_q_sq scaled, instead of running the experiments.
+    def rerun(args, out_dir):
+        name = next(key for key, value in regen.RUNS.items() if value == args)
+        shutil.copytree(GOLDEN / name, out_dir)
+        if name == "gaussianity":
+            header, (row,) = _read(out_dir / "stats.csv")
+            values = [float(row[0]) * scale] + [float(v) for v in row[1:]]
+            lines = [",".join(header)] + [",".join(map(repr, values))] * rows
+            (out_dir / "stats.csv").write_text("\n".join(lines) + "\n")
+
+    monkeypatch.setattr(regen, "run", rerun)
+    assert regen.main(["--diff"]) == code
+    assert capsys.readouterr().out.count("largest relative change") == len(regen.RUNS)

@@ -79,19 +79,32 @@ def test_resolve_sigma_q_modes():
     assert abs(first / (cfg.cmt.rolloff / 4.0) - 1.0) < 0.2
 
 
+def test_calibrated_sigma_q_is_the_gaussianity_sigma_q(tmp_path):
+    # one seeded loopback feeds both: stats.csv's sigma_q_sq times E[s^2]
+    cfg = tiny_config()
+    cfg.signaling.pam_levels = [-3, -1, 1, 3]  # E[s^2] = 5
+    cfg.signaling.sigma_q_mode = "calibrated"
+    cfg.channel.num_subcarriers = 64
+    cfg.cmt.num_frames = 1700
+    for seed in (12345, 7):
+        cfg.run.master_seed = seed
+        stats = harness.run_gaussianity(cfg, str(tmp_path / str(seed)))["stats"]
+        assert harness.resolve_sigma_q_sq(cfg) == stats.sigma_q_sq * 5.0
+
+
 def test_calibrated_sigma_q_is_resolved_once_per_run(tmp_path, monkeypatch):
     cfg = tiny_config(trials=3)
     cfg.signaling.sigma_q_mode = "calibrated"
     cfg.cmt.num_frames = 100
     resolved = harness.resolve_sigma_q_sq(cfg)
     calls = []
-    loopback = cmt.intrinsic_loopback
+    measure = cmt.measure_intrinsic_stats
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return loopback(*args, **kwargs)
+        return measure(*args, **kwargs)
 
-    monkeypatch.setattr(cmt, "intrinsic_loopback", counted)
+    monkeypatch.setattr(cmt, "measure_intrinsic_stats", counted)
     harness.run_fig3(cfg, str(tmp_path / "calibrated"))
     assert len(calls) == 1
 
