@@ -1,12 +1,12 @@
-"""One OpenBLAS thread while the trial shards run.
+"""One OpenBLAS thread while the trial groups run.
 
 OpenBLAS starts one thread per CPU unless the environment says
-otherwise.  The trial shards already use one process per CPU, so
-forked shards that each kept that default would run CPUs x CPUs BLAS
+otherwise.  The trial groups already run on one process per CPU, so
+forked workers that each kept that default would run CPUs x CPUs BLAS
 threads.  And the thread count changes results: the MMSE reference
 combiner's LAPACK solve rounds differently with one OpenBLAS thread
 than with two, which moves the 12th digit of some ``summary.csv``
-values.  So the shards run with one BLAS thread whatever the
+values.  So the groups run with one BLAS thread whatever the
 environment sets, and the CSV bytes do not depend on it.
 
 The OpenBLAS libraries are found among the shared objects mapped into

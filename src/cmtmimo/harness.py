@@ -8,24 +8,25 @@ stream does not depend on how many trials run, and reruns are
 byte-identical.  Experiments work on one representative subcarrier; the
 per-subcarrier model is independent across subcarriers.
 
-``run_fig3`` and ``run_eye`` split the trials into contiguous shards,
-one per worker process (``WORKERS``; see ``_run_shards``).  A shard runs
-serially in one process: it assembles each trial's scenario and packet,
-tracks a group of trials at a time with the batched kernel, then
-finishes each trial: ``run_fig3`` scores its probe block, ``run_eye``
-writes its eye.csv rows to the shard's part file.  The shards share one
-packet budget (``GROUP_BYTES``), so the run's packet memory does not
-grow with the number of workers.  Each stage is timed and counted, and
-a run returns the sums as ``stages``.  A shard draws only from its own
-trials' generators, and this process writes the shards' rows in trial
-order, so the CSV bytes do not depend on the number of workers.  Worker
-processes are forked, since the kernel's many small numpy calls hold
-the GIL and so gain nothing from threads, and every shard runs on one
+``run_fig3`` and ``run_eye`` cut the trials into consecutive groups
+(``_trial_groups``) and run one task per group (``_run_groups``) on
+forked worker processes (``WORKERS``).  A task assembles its trials'
+scenarios and packets, tracks them as one batch with the batched
+kernel, then finishes each trial: ``run_fig3`` scores its probe block,
+``run_eye`` formats its eye.csv rows.  Tasks only compute: this process
+takes their results back in trial order and writes every file.  The
+run's packet stacks share one budget (``GROUP_BYTES``).  Each stage is
+timed and counted, and a run returns the sums as ``stages``.  A group
+draws only from its own trials' generators, so the CSV bytes depend
+neither on the group width nor on the number of workers.  Workers are
+forked processes, since the kernel's many small numpy calls hold the
+GIL and so gain nothing from threads, and every group runs on one
 OpenBLAS thread (``blas``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shutil
 import tempfile
@@ -67,6 +68,18 @@ def _write_csv(path: str, header: str, lines) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         fh.writelines(lines)
+
+
+def _out_dir(config: ExperimentConfig, out_dir: str | None) -> str:
+    """``out_dir``, else ``run.out_dir``; raises naming it, before the run
+    starts, if a file stands where it or one of its parents would go."""
+    out_dir = out_dir or config.run.out_dir
+    path = os.path.normpath(out_dir)
+    while path and not os.path.exists(path):
+        path = os.path.dirname(path)
+    if path and not os.path.isdir(path):
+        raise ValueError(f"run.out_dir: cannot write to {out_dir}: {path} is not a directory")
+    return out_dir
 
 
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
@@ -264,12 +277,13 @@ def _probe_schedule(config: ExperimentConfig, total: int) -> list[int]:
     return sorted(stops)
 
 
-# Packet-stack bytes a run tracks at once, shared among its shards: 20
-# trials of the default 1000 x 128 complex packet on one worker, 10 per
-# shard on two.  Wider batches add memory, not speed.
+# Packet-stack bytes a run tracks at once.  Every worker tracks a group
+# at a time, so a group gets the budget over the worker count: 20 trials
+# of the default 1000 x 128 complex packet on one worker, 10 on two.
+# Wider batches add memory, not speed.
 GROUP_BYTES = 40 * 2**20
 
-# Processes that run trial shards: one per CPU this process may run on
+# Processes that run trial groups: one per CPU this process may run on
 # where ``fork`` exists, else 1 (the run stays in this process).
 WORKERS = (
     (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
@@ -281,7 +295,7 @@ WORKERS = (
 @dataclass
 class Stage:
     """The work of one stage of a run: ``count`` units of ``unit`` in
-    ``seconds`` of wall time, summed over the run's shards (so on several
+    ``seconds`` of wall time, summed over the run's groups (so on several
     workers the stages can add up to more than the run's wall time)."""
 
     unit: str
@@ -298,69 +312,64 @@ class Stage:
 
 
 def _stages(finish: str, unit: str) -> dict[str, Stage]:
-    """A shard's stages: assembly, tracking, then the experiment's ``finish``."""
+    """A group's stages: assembly, tracking, then the experiment's ``finish``."""
     return {"assemble": Stage("trials"), "track": Stage("trial-updates"), finish: Stage(unit)}
 
 
-def _shard_count(num_trials: int) -> int:
-    """Shards a run of ``num_trials`` trials splits into: one per worker,
-    at most one per trial."""
-    return min(WORKERS, num_trials)
+def _trial_groups(config: ExperimentConfig) -> list[range]:
+    """The run's trials cut into consecutive groups, one task each.  Every
+    worker tracks a group at once, so a group's packet stack fits in
+    ``GROUP_BYTES`` over the workers; a group holds at most the trials
+    over the workers, so each gets one, and at least one trial."""
+    num_trials = config.run.num_trials
+    workers = min(WORKERS, num_trials)
+    trial_bytes = config.blind.packet_len * config.channel.num_antennas * 16
+    width = max(1, min(GROUP_BYTES // workers // trial_bytes, num_trials // workers))
+    return [range(lo, min(lo + width, num_trials)) for lo in range(0, num_trials, width)]
 
 
-def _run_shards(shard, num_trials: int) -> tuple[list, dict[str, Stage]]:
-    """Run ``shard(trials)`` on ``_shard_count(num_trials)`` contiguous trial ranges.
+def _run_groups(task, groups: list[range], take) -> dict[str, Stage]:
+    """Run ``task(group)``, which returns a result and its stages, for
+    every group; hand each result to ``take`` in trial order and return
+    the stages summed over the groups.
 
-    ``shard`` returns its result and its stages.  A single range runs in
-    this process; several each run in a forked worker process, serially,
-    while this process waits for them.  The shards run at once, so they
-    share the run's packet budget: each tracks groups of at most
-    ``GROUP_BYTES`` over the shard count (``_trial_groups``).  A shard
-    should return little, since its result is pickled back to this
-    process.  Returns the results in trial order and the stages summed
-    over the shards.  An exception raised in a shard is raised here, with
-    its type and message, after every worker has exited.
+    With one group or one worker the tasks run in this process, else on
+    ``min(WORKERS, len(groups))`` forked worker processes, one group per
+    worker at a time; a result is pickled back, so it should be small.
+    An exception raised in a task is raised here, with its type and
+    message, after every worker has exited; groups not yet started are
+    dropped.
 
     Workers are forked rather than spawned: a spawned worker would import
     the package again (0.6 s, half of it scipy.fft) and would not see
     the caller's run-time state.  The pool forks every worker before it
     starts its own thread, so a caller that runs no other thread forks a
-    single-threaded process.  Every shard runs with one OpenBLAS thread
-    (``blas.one_thread``; the workers inherit it), so the shards run as
+    single-threaded process.  Every task runs with one OpenBLAS thread
+    (``blas.one_thread``; the workers inherit it), so the workers run as
     many threads as CPUs and the results do not depend on the BLAS
     thread count; this process's count is restored afterwards.
     """
-    num = _shard_count(num_trials)
-    ranges = [range(k * num_trials // num, (k + 1) * num_trials // num) for k in range(num)]
-    restore_blas = blas.one_thread()
-    try:
-        if num == 1:
-            outputs = [shard(ranges[0])]
+    workers = min(WORKERS, len(groups))
+    stages: dict[str, Stage] = {}
+    with contextlib.ExitStack() as stack:
+        stack.callback(blas.one_thread())
+        if workers == 1:
+            outputs = map(task, groups)
         else:
             # imported here so that importing the package loads no multiprocessing
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(num, mp_context=multiprocessing.get_context("fork")) as pool:
-                outputs = list(pool.map(shard, ranges))
-    finally:
-        restore_blas()
-    stages = {name: Stage(stage.unit) for name, stage in outputs[0][1].items()}
-    for _, shard_stages in outputs:
-        for name, stage in shard_stages.items():
-            stages[name].count += stage.count
-            stages[name].seconds += stage.seconds
-    return [result for result, _ in outputs], stages
-
-
-def _trial_groups(config: ExperimentConfig, trials: range) -> list[range]:
-    """Consecutive ranges of ``trials``, one shard's, whose packet stacks
-    fit in the shard's share of ``GROUP_BYTES``: with every shard of the
-    run tracking a group at once, the run's stacks fit in ``GROUP_BYTES``
-    (a group holds at least one trial, however large its packet)."""
-    trial_bytes = config.blind.packet_len * config.channel.num_antennas * 16
-    width = max(1, GROUP_BYTES // _shard_count(config.run.num_trials) // trial_bytes)
-    return [trials[lo : lo + width] for lo in range(0, len(trials), width)]
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            outputs = stack.enter_context(pool).map(task, groups)
+        for result, group_stages in outputs:
+            take(result)
+            for name, stage in group_stages.items():
+                total = stages.setdefault(name, Stage(stage.unit))
+                total.count += stage.count
+                total.seconds += stage.seconds
+            del result  # before the next group's result arrives
+    return stages
 
 
 def _track_group(
@@ -419,46 +428,45 @@ def _track_group(
     return scens, weights, decisions
 
 
-def _fig3_shard(
+def _fig3_group(
     config: ExperimentConfig,
     trials: range,
     sigma_q: float,
     sigma_v_sq: float,
     schedule: list[int],
 ) -> tuple[np.ndarray, dict[str, Stage]]:
-    """Assemble, track and score one shard of ``run_fig3``'s trials.
+    """Assemble, track and score one group of ``run_fig3``'s trials.
 
     Returns a (len(trials), 3 + len(schedule)) array, one row per trial:
     its MF-perfect, MMSE-perfect and MF-contaminated levels, then the
-    blind SINR at each point of ``schedule``; and the shard's stages.
+    blind SINR at each point of ``schedule``; and the group's stages.
     """
     stages = _stages("score", "combiners")
+    scens, weights, _ = _track_group(
+        config, trials, sigma_q, sigma_v_sq, config.blind.passes, stages, snapshots=schedule
+    )
+    start = time.perf_counter()
     rows = []
-    for group in _trial_groups(config, trials):
-        scens, weights, _ = _track_group(
-            config, group, sigma_q, sigma_v_sq, config.blind.passes, stages, snapshots=schedule
-        )
-        start = time.perf_counter()
-        for t, scen in enumerate(scens):
-            x_probe, s_probe = scen.draw_block(config.blind.probe_symbols)
-            refs = [w.w for w in reference_weights(scen, config)]
-            rows.append(probe_sinrs(np.vstack(refs + [weights[:, t]]), x_probe, s_probe))
-        stages["score"].add(len(scens) * (3 + len(schedule)), start)
+    for t, scen in enumerate(scens):
+        x_probe, s_probe = scen.draw_block(config.blind.probe_symbols)
+        refs = [w.w for w in reference_weights(scen, config)]
+        rows.append(probe_sinrs(np.vstack(refs + [weights[:, t]]), x_probe, s_probe))
+    stages["score"].add(len(scens) * (3 + len(schedule)), start)
     return np.array(rows), stages
 
 
 def run_fig3(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     """SINR-trajectory experiment; writes trajectory.csv and summary.csv.
 
-    The trials run in shards of ``_run_shards``.  A shard takes its trials
-    in groups of ``_trial_groups``, each in three stages: assemble every
-    trial's scenario and packet; track the whole group over its
-    cyclically reused packets, keeping the weights at every point of the
-    probe schedule; then score each trial: draw its held-out block, and
-    measure the three reference levels and the SINR of each kept weight
-    vector on it with one ``probe_sinrs`` call.  This process turns the
-    SINR rows, in trial order, into the crossing of the MF-perfect level
-    and the final gap to MMSE, and writes the CSVs.
+    The trials run in groups of ``_trial_groups``, one ``_run_groups``
+    task each, in three stages: assemble every trial's scenario and
+    packet; track the whole group over its cyclically reused packets,
+    keeping the weights at every point of the probe schedule; then score
+    each trial: draw its held-out block, and measure the three reference
+    levels and the SINR of each kept weight vector on it with one
+    ``probe_sinrs`` call.  This process turns the SINR rows, in trial
+    order, into the crossing of the MF-perfect level and the final gap
+    to MMSE, and writes the CSVs.
 
     A noiseless config (``noise.target_sinr_db`` = inf) has no MMSE
     reference, so it fails before any trial runs.
@@ -466,7 +474,7 @@ def run_fig3(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     Returns the output paths, the per-trial trajectories and the summed
     ``stages``.
     """
-    out_dir = out_dir or config.run.out_dir
+    out_dir = _out_dir(config, out_dir)
     sigma_v_sq = calibrate_noise(config)
     if sigma_v_sq == 0.0:
         raise ValueError(
@@ -476,10 +484,9 @@ def run_fig3(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     total = config.blind.packet_len * config.blind.passes
     schedule = _probe_schedule(config, total)
     sigma_q = float(np.sqrt(resolve_sigma_q_sq(config)))
-    shard = partial(
-        _fig3_shard, config, sigma_q=sigma_q, sigma_v_sq=sigma_v_sq, schedule=schedule
-    )
-    results, stages = _run_shards(shard, config.run.num_trials)
+    task = partial(_fig3_group, config, sigma_q=sigma_q, sigma_v_sq=sigma_v_sq, schedule=schedule)
+    results = []
+    stages = _run_groups(task, _trial_groups(config), results.append)
     traj_rows = []
     summary_rows = []
     trajectories = []
@@ -513,67 +520,56 @@ def run_fig3(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     }
 
 
-def _eye_shard(
+def _eye_group(
     config: ExperimentConfig,
     trials: range,
     sigma_q: float,
     sigma_v_sq: float,
     passes: int,
     bounds: np.ndarray,
-    part_dir: str,
-) -> tuple[tuple[np.ndarray, str], dict[str, Stage]]:
-    """Assemble and track one shard of ``run_eye``'s trials, then format them.
+) -> tuple[tuple[np.ndarray, bytes], dict[str, Stage]]:
+    """Assemble and track one group of ``run_eye``'s trials, then format them.
 
-    The shard writes its eye.csv rows, without the header and in trial
-    order, to a part file in ``part_dir`` named after its first trial,
-    one group at a time, so no process holds the rows' text.  Returns
-    the shard's (len(trials), num_buckets) eye openings and the part
-    file's path; and the shard's stages.
+    Returns the group's (len(trials), num_buckets) eye openings and its
+    eye.csv rows, without the header and in trial order, as bytes; and
+    the group's stages.
     """
     stages = _stages("format", "rows")
     spb = config.eye.samples_per_bucket
     starts = bounds[:-1].tolist()
     ends = [min(lo + spb, hi) for lo, hi in zip(starts, bounds[1:].tolist())]
-    rows_per_trial = sum(end - lo for lo, end in zip(starts, ends))
-    openings = []
-    part = os.path.join(part_dir, f"eye-{trials[0]}.part")
-    with open(part, "w", encoding="utf-8", newline="\n") as fh:
-        for group in _trial_groups(config, trials):
-            _, _, decisions = _track_group(
-                config, group, sigma_q, sigma_v_sq, passes, stages, collect_decisions=True
-            )
-            start = time.perf_counter()
-            decisions = np.ascontiguousarray(decisions.T)
-            openings.append(np.minimum.reduceat(np.abs(decisions), bounds[:-1], axis=1))
-            fh.writelines(
-                _eye_rows(lo, row[lo:end].tolist())
-                for row in decisions
-                for lo, end in zip(starts, ends)
-            )
-            stages["format"].add(len(group) * rows_per_trial, start)
-    return (np.vstack(openings), part), stages
+    _, _, decisions = _track_group(
+        config, trials, sigma_q, sigma_v_sq, passes, stages, collect_decisions=True
+    )
+    start = time.perf_counter()
+    decisions = np.ascontiguousarray(decisions.T)
+    openings = np.minimum.reduceat(np.abs(decisions), bounds[:-1], axis=1)
+    rows = "".join(
+        _eye_rows(lo, row[lo:end].tolist()) for row in decisions for lo, end in zip(starts, ends)
+    )
+    stages["format"].add(len(trials) * sum(end - lo for lo, end in zip(starts, ends)), start)
+    return (openings, rows.encode()), stages
 
 
 def run_eye(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     """Eye-pattern experiment; writes eye.csv and eye_opening.csv.
 
     Pre-decision outputs s_hat are collected during adaptation, for a
-    group of trials at a time (in shards of ``_run_shards``), and split
-    into iteration buckets b * total // num_buckets (labeled by their
-    start iteration).  The per-bucket eye opening is min |s_hat| over all
-    decisions in the bucket (the closest approach to the decision
-    threshold, as read off a classic eye diagram); eye.csv logs up to
-    ``eye.samples_per_bucket`` samples per bucket for plotting.  Each
-    shard writes its own eye.csv rows to a part file in a temporary
-    directory (the system's, so a failed run leaves no ``out_dir``); this
-    process then copies the parts into eye.csv as bytes and writes the
-    openings, both in trial order.  The parts are removed whether the
-    run succeeds or fails.
+    group of trials at a time (``_trial_groups``, one ``_run_groups``
+    task each), and split into iteration buckets b * total // num_buckets
+    (labeled by their start iteration).  The per-bucket eye opening is
+    min |s_hat| over all decisions in the bucket (the closest approach to
+    the decision threshold, as read off a classic eye diagram); eye.csv
+    logs up to ``eye.samples_per_bucket`` samples per bucket for
+    plotting.  This process streams each group's eye.csv rows, in trial
+    order, into an unnamed temporary file (the system's, so a failed run
+    leaves no ``out_dir`` and no file), and copies it into eye.csv after
+    the last group; then it writes the openings.
 
     Returns the output paths, the (num_trials, num_buckets) openings and
     the summed ``stages``.
     """
-    out_dir = out_dir or config.run.out_dir
+    out_dir = _out_dir(config, out_dir)
     passes = -(-config.eye.updates // config.blind.packet_len)
     total = passes * config.blind.packet_len
     num_buckets = config.eye.num_buckets
@@ -582,24 +578,23 @@ def run_eye(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     bounds = np.arange(num_buckets + 1) * total // num_buckets
     sigma_q = float(np.sqrt(resolve_sigma_q_sq(config)))
     sigma_v_sq = calibrate_noise(config)
+    task = partial(
+        _eye_group, config, sigma_q=sigma_q, sigma_v_sq=sigma_v_sq, passes=passes, bounds=bounds
+    )
+    group_openings = []
     eye_path = os.path.join(out_dir, "eye.csv")
-    with tempfile.TemporaryDirectory() as part_dir:
-        shard = partial(
-            _eye_shard,
-            config,
-            sigma_q=sigma_q,
-            sigma_v_sq=sigma_v_sq,
-            passes=passes,
-            bounds=bounds,
-            part_dir=part_dir,
-        )
-        results, stages = _run_shards(shard, config.run.num_trials)
+    with tempfile.TemporaryFile() as rows:
+
+        def take(result: tuple[np.ndarray, bytes]) -> None:
+            group_openings.append(result[0])
+            rows.write(result[1])
+
+        stages = _run_groups(task, _trial_groups(config), take)
         _write_csv(eye_path, EYE_HEADER, ())
+        rows.seek(0)
         with open(eye_path, "ab") as out:
-            for _, part in results:
-                with open(part, "rb") as fh:
-                    shutil.copyfileobj(fh, out)
-    openings = np.vstack([shard_openings for shard_openings, _ in results])
+            shutil.copyfileobj(rows, out)
+    openings = np.vstack(group_openings)
 
     starts = bounds[:-1].tolist()
     opening_lines = (
@@ -619,7 +614,7 @@ def run_eye(config: ExperimentConfig, out_dir: str | None = None) -> dict:
 
 def run_gaussianity(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     """CMT loopback statistics; writes stats.csv (one row)."""
-    out_dir = out_dir or config.run.out_dir
+    out_dir = _out_dir(config, out_dir)
     stats = _intrinsic_stats(config, min_samples=100_000)
     path = os.path.join(out_dir, "stats.csv")
     row = (

@@ -191,6 +191,29 @@ def test_bad_override_raises(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_out_blocked_by_a_file_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    # a file where --out or one of its parents would be a directory ends
+    # the run before it starts: one line naming the path, exit 2, no CSV
+    def unreached(*args):
+        raise AssertionError("a run with a blocked --out started")
+
+    monkeypatch.setattr(harness, "build_scenario", unreached)
+    monkeypatch.setattr(harness, "_intrinsic_stats", unreached)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    for command in ("simulate", "eye", "gaussianity"):
+        for out in (blocker, blocker / "sub"):
+            rc = cli.main([command, *small_args(out)])
+            err = capsys.readouterr().err
+            assert rc == 2, (command, out)
+            assert err == (
+                f"cmtmimo: error: run.out_dir: cannot write to {out}: "
+                f"{blocker} is not a directory\n"
+            )
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert blocker.read_text() == "kept\n"
+
+
 def test_noiseless_simulate_fails_but_eye_runs(tmp_path, capsys, monkeypatch):
     # at target_sinr_db = inf the MMSE reference is undefined, so simulate
     # fails before it assembles a trial; the eye needs no MMSE reference
@@ -230,17 +253,17 @@ def test_divergence_exits_one_without_csv(tmp_path, capsys):
 def test_worker_error_exits_two_and_leaves_no_thread(tmp_path, capsys, monkeypatch):
     # a ValueError raised inside a worker process reaches main as one line;
     # every run, failed or not, joins its worker processes and the pool's
-    # threads and removes eye's part files before returning
+    # threads and leaves no temporary file behind
     monkeypatch.setattr(harness, "WORKERS", 3)
-    parts = tmp_path / "tmp"
-    parts.mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(parts))
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
     before = threading.active_count()
     for command in ("simulate", "eye"):
         assert cli.main([command, *small_args(tmp_path / "ok")]) == 0
         assert threading.active_count() == before
         assert multiprocessing.active_children() == []
-        assert not any(parts.iterdir())
+        assert not any(temp.iterdir())
     capsys.readouterr()
 
     build = harness.build_scenario
@@ -257,18 +280,18 @@ def test_worker_error_exits_two_and_leaves_no_thread(tmp_path, capsys, monkeypat
         assert capsys.readouterr().err == "cmtmimo: error: planted failure in trial 1\n"
         assert threading.active_count() == before
         assert multiprocessing.active_children() == []
-        assert not any(parts.iterdir())
+        assert not any(temp.iterdir())
     assert not (tmp_path / "bad").exists()
 
 
 def test_nonfinite_packet_names_its_trial(tmp_path, capsys, monkeypatch):
     # a NaN in trial 1's packet is caught when its group is tracked, in
     # its worker process: one line naming the trial, exit 2, no CSV and no
-    # process, thread or part file left behind
+    # process, thread or temporary file left behind
     monkeypatch.setattr(harness, "WORKERS", 3)
-    parts = tmp_path / "tmp"
-    parts.mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(parts))
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
     out = tmp_path / "out"
     before = threading.active_count()
     draw = harness.TrialScenario.draw_block
@@ -288,7 +311,7 @@ def test_nonfinite_packet_names_its_trial(tmp_path, capsys, monkeypatch):
         assert err == "cmtmimo: error: packet of trial 1 contains non-finite entries\n"
         assert threading.active_count() == before
         assert multiprocessing.active_children() == []
-        assert not any(parts.iterdir())
+        assert not any(temp.iterdir())
     assert not out.exists()
 
 

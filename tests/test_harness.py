@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmtmimo import blas, cmt, harness, kernels
+from cmtmimo import blas, blind, cmt, harness, kernels
 from cmtmimo.config import load_config
 
 
@@ -168,14 +168,14 @@ def test_run_fig3_outputs(tmp_path):
 def test_csv_bytes_do_not_depend_on_group_width(tmp_path, monkeypatch):
     # one batch of 3 trials against groups of 2 and 1: each trial's rows
     # come from its own generator and its own row of the batched kernel.
-    # One shard takes the whole budget, so the split is the budget's.
+    # One worker takes the whole budget, so the split is the budget's.
     monkeypatch.setattr(harness, "WORKERS", 1)
     cfg = tiny_config(trials=3)
     harness.run_fig3(cfg, str(tmp_path / "one"))
     harness.run_eye(cfg, str(tmp_path / "one"))
     trial_bytes = cfg.blind.packet_len * cfg.channel.num_antennas * 16
     monkeypatch.setattr(harness, "GROUP_BYTES", 2 * trial_bytes)
-    groups = harness._trial_groups(cfg, range(cfg.run.num_trials))
+    groups = harness._trial_groups(cfg)
     assert [list(g) for g in groups] == [[0, 1], [2]]
     harness.run_fig3(cfg, str(tmp_path / "split"))
     harness.run_eye(cfg, str(tmp_path / "split"))
@@ -185,37 +185,34 @@ def test_csv_bytes_do_not_depend_on_group_width(tmp_path, monkeypatch):
         ).read_bytes(), name
 
 
-def test_shards_share_one_packet_budget(monkeypatch):
-    # every shard tracks a group at once, so the shard count times the
-    # widest group fits in GROUP_BYTES, unless a group is a single trial;
-    # the groups are as wide as the budget allows and cover each shard
+def test_trial_groups_share_one_packet_budget(monkeypatch):
+    # every worker tracks a group at once, so min(WORKERS, trials) times
+    # the widest group fits in GROUP_BYTES, unless that group is a single
+    # trial; every worker gets a group, and the widest group is as wide
+    # as the budget and the trials over the workers allow
     cfg = tiny_config()
     trial_bytes = cfg.blind.packet_len * cfg.channel.num_antennas * 16
     for workers in (1, 2, 3):
         monkeypatch.setattr(harness, "WORKERS", workers)
-        for trials in (1, 2, 5, 12):
+        for trials in range(1, 13):
             cfg.run.num_trials = trials
-            shards = min(workers, trials)
-            ranges = [
-                range(k * trials // shards, (k + 1) * trials // shards) for k in range(shards)
-            ]
+            busy = min(workers, trials)
             for scale in (0.5, 1, 2, 2.5, 3, 7, 40):
                 budget = int(scale * trial_bytes)
                 monkeypatch.setattr(harness, "GROUP_BYTES", budget)
-                groups = [harness._trial_groups(cfg, trial_range) for trial_range in ranges]
-                for trial_range, shard_groups in zip(ranges, groups):
-                    assert [t for group in shard_groups for t in group] == list(trial_range)
-                widest = max(len(group) for shard_groups in groups for group in shard_groups)
+                groups = harness._trial_groups(cfg)
                 key = (workers, trials, budget)
-                assert widest == 1 or shards * widest * trial_bytes <= budget, key
+                assert [t for group in groups for t in group] == list(range(trials)), key
+                assert len(groups) >= busy, key
+                widest = max(len(group) for group in groups)
+                assert widest == 1 or busy * widest * trial_bytes <= budget, key
                 assert (
-                    widest == max(len(r) for r in ranges)
-                    or shards * (widest + 1) * trial_bytes > budget
+                    widest == trials // busy or busy * (widest + 1) * trial_bytes > budget
                 ), key
 
 
 def test_csv_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
-    # one shard and a shard per trial write the same bytes: each shard
+    # one worker and a worker per trial write the same bytes: each group
     # draws only from its own trials' generators, and the rows come back
     # in trial order
     cfg = tiny_config(trials=3)
@@ -232,7 +229,7 @@ def test_csv_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
 def test_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the MMSE reference's LAPACK solve rounds differently on one OpenBLAS
     # thread than on two, which shows in summary.csv for trial 2 of seed 1
-    # at the default size; the shards run on one thread whatever this
+    # at the default size; the groups run on one thread whatever this
     # process was set to, and leave its setting as they found it
     libraries = blas._openblas_libraries()
     if not libraries:
@@ -255,11 +252,12 @@ def test_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
-def test_tracker_inputs_are_built_once_per_group_in_its_shard(tmp_path, monkeypatch):
+def test_tracker_inputs_are_built_once_per_group_where_it_runs(tmp_path, monkeypatch):
     # a group's steps and block factors are built once, over the whole
-    # group, by the process that runs the group's shard: with several
-    # shards that is a worker process, never this one; with one shard it
-    # is this process.  Each shard's 1 or 2 trials fit in one group.
+    # group, by the process that runs the group: with several workers
+    # that is a worker process, never this one; with one worker it is
+    # this process.  The 4 trials make one group on one worker and two
+    # groups of 2 on two.
     log = tmp_path / "pids"
     for name in ("step_sizes", "block_factors"):
         build = getattr(kernels, name)
@@ -270,7 +268,7 @@ def test_tracker_inputs_are_built_once_per_group_in_its_shard(tmp_path, monkeypa
             return build(*args)
 
         monkeypatch.setattr(kernels, name, recorded)
-    cfg = tiny_config(trials=3)
+    cfg = tiny_config(trials=4)
     parent = str(os.getpid())
     for workers in (1, 2):
         monkeypatch.setattr(harness, "WORKERS", workers)
@@ -287,7 +285,7 @@ def test_tracker_inputs_are_built_once_per_group_in_its_shard(tmp_path, monkeypa
 
 
 def test_stages_count_the_work(tmp_path, monkeypatch):
-    # the summed stage counts are the run's work, however it is sharded
+    # the summed stage counts are the run's work, however it is grouped
     cfg = tiny_config(trials=3)
     trials, packet_len = cfg.run.num_trials, cfg.blind.packet_len
     schedule = harness._probe_schedule(cfg, packet_len * cfg.blind.passes)
@@ -313,8 +311,8 @@ def test_stages_count_the_work(tmp_path, monkeypatch):
 
 def test_trial_rows_do_not_depend_on_num_trials(tmp_path, monkeypatch):
     # trials 0 and 1 write the same rows in a run of 2 trials and of 3, on
-    # one worker or two: trial 1 is the second trial of the only shard,
-    # the only trial of the second shard or the first of two there.
+    # one worker or two: trial 1 is the second trial of the first group
+    # or the only trial of the second.
     # eye.csv has no trial column, but its rows come in trial order.
     runs = {}
     for workers in (1, 2):
@@ -412,6 +410,42 @@ def test_eye_openings_are_derived_from_the_eye_rows(tmp_path):
     for row in openings:
         trial, bucket, opening = row.split(",")
         assert opening == "%.12g" % expected[int(trial), int(bucket)], row
+
+
+def test_eye_openings_cover_every_decision(tmp_path):
+    # with one decision per bucket, each eye_opening.csv value is, as
+    # text, the magnitude of its bucket's one eye.csv sample, so an
+    # opening that skips any decision (each trial's last, say) shows
+    cfg = tiny_config(trials=2)
+    cfg.blind.packet_len = cfg.eye.updates = cfg.eye.num_buckets = 6
+    cfg.eye.samples_per_bucket = 1
+    harness.run_eye(cfg, str(tmp_path))
+    eye = [row.split(",") for row in (tmp_path / "eye.csv").read_text().splitlines()[1:]]
+    openings = (tmp_path / "eye_opening.csv").read_text().splitlines()[1:]
+    assert len(eye) == len(openings) == 2 * 6
+    for i, ((bucket, sample), row) in enumerate(zip(eye, openings)):
+        assert row == f"{i // 6},{bucket},{'%.12g' % abs(float(sample))}"
+
+
+def test_tracker_aims_at_the_alphabets_dispersion_constant(tmp_path, monkeypatch):
+    # R = E[s^2] / E|s|: 1 for binary PAM, 5 / 2 = 2.5 for 4-PAM; the
+    # tracker of every group of both experiments gets it
+    seen = []
+    run_packet = blind.run_packet
+
+    def recorded(state, *args, **kwargs):
+        seen.append(state.R)
+        return run_packet(state, *args, **kwargs)
+
+    monkeypatch.setattr(blind, "run_packet", recorded)
+    monkeypatch.setattr(harness, "WORKERS", 1)
+    for levels, R in (([-1.0, 1.0], 1.0), ([-3.0, -1.0, 1.0, 3.0], 2.5)):
+        cfg = tiny_config()
+        cfg.signaling.pam_levels = levels
+        seen.clear()
+        harness.run_fig3(cfg, str(tmp_path))
+        harness.run_eye(cfg, str(tmp_path))
+        assert seen == [R, R], levels
 
 
 def test_eye_bucket_bounds_are_exact(tmp_path):
