@@ -127,12 +127,14 @@ def track_segment(
         f = factors[:, b, a : a + n, a : a + n]
         y0 = (xs @ w_col)[:, :, 0]
         s = np.sign(y0)
-        # y_i needs only s_{<i}, so n + 1 rounds always reach the fixed point
+        # y_i needs only s_{<i}, so n + 1 rounds always reach the fixed point;
+        # a nan row never compares equal, so it runs all n + 1 rounds and
+        # still fails the finite-weights check
         for _ in range(n + 1):
             v = y0 - r * s
             y = y0 + (f @ v[:, :, None])[:, :, 0]
             s_new = np.sign(y)
-            if np.array_equal(s_new, s, equal_nan=True):
+            if (s_new == s).all():
                 break
             s = s_new
         coef = y - r * s

@@ -276,3 +276,42 @@ def test_multipath_pass_matches_fftconvolve_and_direct_form(
     assert np.array_equal(out, fftconvolve(x, fir)[:num_samples])
     direct = np.convolve(x, fir)[:num_samples]
     assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+@st.composite
+def _spectrum_cases(draw):
+    """(L, overlap, size) with an even L * overlap and size from the
+    polyphase array's overlap + 1 rows to three times that."""
+    num_subcarriers = draw(st.integers(2, 64))
+    overlap = draw(st.integers(4, 64).filter(lambda o: num_subcarriers * o % 2 == 0))
+    return num_subcarriers, overlap, draw(st.integers(overlap + 1, 3 * (overlap + 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_spectrum_cases())
+# odd, even and prime transform sizes
+@example(case=(2, 4, 5))
+@example(case=(7, 4, 13))
+@example(case=(16, 32, 34))
+@example(case=(41, 46, 103))
+@example(case=(64, 64, 195))
+def test_prototype_spectrum_is_the_hermitian_dft(case):
+    # the spectrum is built from a real FFT and its mirror; it must be the
+    # complex DFT of the padded (overlap + 1, L) polyphase array, and its
+    # mirrored bins the exact conjugates of the computed ones
+    num_subcarriers, overlap, size = case
+    cfg = make_cfg(num_subcarriers=num_subcarriers, overlap=overlap)
+    rows = overlap + 1
+    padded = np.zeros(rows * num_subcarriers)
+    proto = cmt.design_prototype(cfg)
+    padded[: proto.size] = proto
+    expected = np.fft.fft(padded.reshape(rows, num_subcarriers), size, axis=0)
+
+    spectrum = cmt._prototype_spectrum(cfg, size)
+    assert spectrum.shape == (size, num_subcarriers)
+    # both transforms round; over the whole range they differ by at most
+    # 1.6e-15 of the largest bin (at the prime size 103)
+    assert np.max(np.abs(spectrum - expected)) <= 4e-15 * np.max(np.abs(expected))
+    m = np.arange(1, size)
+    assert np.array_equal(spectrum[size - m], np.conj(spectrum[m]))
+

@@ -521,3 +521,5 @@ def test_probe_schedule_structure():
     assert schedule[-1] == 200
     assert schedule == sorted(set(schedule))
     assert set(range(0, 101, 25)) <= set(schedule)
+    # the last iteration is probed even when it lies on none of the grids
+    assert harness._probe_schedule(cfg, 199) == [0, 25, 50, 75, 100, 199]
