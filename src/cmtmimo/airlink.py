@@ -8,48 +8,17 @@ t = s + i q (real PAM plus Gaussian intrinsic interference); BS j receives
 
 and estimates its in-cell channels either directly from the contamination
 decomposition (H_jj + sum H_mj A_mj + noise) or by correlating received
-pilot frames against the pilot book.  Both modes agree in the noiseless
-case; direct mode exists so experiments match the decomposition exactly.
+pilot frames against the pilot book, the (K, tau) rows that every cell
+reuses.  Both modes return the (N, K) estimate as a plain array and agree
+in the noiseless case; direct mode exists so experiments match the
+decomposition exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .topology import CellTopology
-
-
-@dataclass(frozen=True)
-class PilotBook:
-    """Mutually orthogonal pilot sequences, one per in-cell pilot index."""
-
-    sequences: np.ndarray  # (K, pilot_len)
-
-    def __post_init__(self) -> None:
-        seqs = np.asarray(self.sequences, dtype=complex)
-        if seqs.ndim != 2:
-            raise ValueError("sequences must have shape (K, pilot_len)")
-        gram = seqs @ seqs.conj().T
-        if not np.allclose(gram, seqs.shape[1] * np.eye(seqs.shape[0]), atol=1e-9):
-            raise ValueError("pilot sequences must be mutually orthogonal")
-        object.__setattr__(self, "sequences", seqs)
-
-    @property
-    def pilot_len(self) -> int:
-        return self.sequences.shape[1]
-
-
-@dataclass(frozen=True)
-class ChannelEstimate:
-    """Estimated in-cell channel matrix, shape (N, K)."""
-
-    H_hat: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.H_hat)):
-            raise ValueError("estimate contains non-finite entries")
 
 
 def make_transmit_symbol(s, sigma_q: float, rng: np.random.Generator) -> np.ndarray:
@@ -65,15 +34,15 @@ def make_transmit_symbol(s, sigma_q: float, rng: np.random.Generator) -> np.ndar
     return s + 1j * q
 
 
-def dft_pilot_book(num_users: int, pilot_len: int) -> PilotBook:
-    """Pilot book from rows of the DFT matrix (orthogonal for K <= tau)."""
+def dft_pilot_book(num_users: int, pilot_len: int) -> np.ndarray:
+    """Pilot book, shape (K, tau): rows of the DFT matrix, mutually
+    orthogonal for K <= tau."""
     if pilot_len < num_users:
         raise ValueError(
             f"pilot_len {pilot_len} < num_users {num_users}: orthogonal sequences impossible"
         )
     n = np.arange(pilot_len)
-    rows = np.exp(2j * np.pi * np.outer(np.arange(num_users), n) / pilot_len)
-    return PilotBook(sequences=rows)
+    return np.exp(2j * np.pi * np.outer(np.arange(num_users), n) / pilot_len)
 
 
 def _add_complex_noise(x: np.ndarray, var: float, rng: np.random.Generator) -> None:
@@ -129,12 +98,12 @@ def estimate_channels_direct(
     noise_var: float,
     pilot_len: int,
     rng: np.random.Generator,
-) -> ChannelEstimate:
+) -> np.ndarray:
     """Contaminated estimate straight from its decomposition.
 
-    Returns H_jj + sum_{m != j} H_mj A_mj + V_tilde with V_tilde entries of
-    variance ``noise_var / pilot_len`` (the averaging gain of a length-tau
-    pilot correlation).
+    Returns the (N, K) estimate H_jj + sum_{m != j} H_mj A_mj + V_tilde,
+    with V_tilde entries of variance ``noise_var / pilot_len`` (the
+    averaging gain of a length-tau pilot correlation).
     """
     k_users = topology.users_per_cell
     if pilot_len < k_users:
@@ -145,18 +114,19 @@ def estimate_channels_direct(
     gains = topology.gains_at(j)  # (M, K)
     h_hat = np.einsum("mnk,mk->nk", h_stack[:, j], gains.astype(complex))
     _add_complex_noise(h_hat, noise_var / pilot_len, rng)
-    return ChannelEstimate(H_hat=h_hat)
+    return h_hat
 
 
 def estimate_channels_correlate(
-    pilots: PilotBook,
+    pilots: np.ndarray,
     pilot_frames: np.ndarray,
-) -> ChannelEstimate:
-    """Estimate by correlating received pilot frames with the pilot book.
+) -> np.ndarray:
+    """Estimate, shape (N, K), by correlating received pilot frames with
+    the pilot book.
 
     Parameters
     ----------
-    pilots : PilotBook
+    pilots : ndarray, shape (K, pilot_len)
         The book every cell reuses (the source of contamination).
     pilot_frames : ndarray, shape (pilot_len, N)
         Received vectors at the estimating BS over the tau pilot times.
@@ -164,28 +134,25 @@ def estimate_channels_correlate(
     Column l of the estimate is (1/tau) sum_n x(n) conj(pilot_l(n)).
     """
     frames = np.asarray(pilot_frames, dtype=complex)
-    tau = pilots.pilot_len
+    tau = pilots.shape[1]
     if frames.ndim != 2 or frames.shape[0] != tau:
         raise ValueError(f"pilot_frames must have shape ({tau}, N)")
-    h_hat = frames.T @ pilots.sequences.conj().T / tau  # (N, K)
-    return ChannelEstimate(H_hat=h_hat)
+    return frames.T @ pilots.conj().T / tau
 
 
 def send_pilots(
     topology: CellTopology,
     h_stack: np.ndarray,
     receiving_bs: int,
-    pilots: PilotBook,
+    pilots: np.ndarray,
     noise_var: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Received frames at one BS while every cell sends the shared pilots.
 
-    Returns shape (pilot_len, N), ready for ``estimate_channels_correlate``.
-    User l of every cell transmits pilot sequence l synchronously.
+    ``pilots`` is the (K, pilot_len) book.  Returns shape (pilot_len, N),
+    ready for ``estimate_channels_correlate``.  User l of every cell
+    transmits pilot sequence l synchronously.
     """
-    m_cells = topology.num_cells
-    symbols = np.broadcast_to(
-        pilots.sequences[None, :, :], (m_cells,) + pilots.sequences.shape
-    )  # (M, K, tau)
+    symbols = np.broadcast_to(pilots, (topology.num_cells,) + pilots.shape)  # (M, K, tau)
     return uplink_batch(topology, h_stack, receiving_bs, symbols, noise_var, rng)

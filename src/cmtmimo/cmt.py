@@ -79,10 +79,6 @@ class IntrinsicStats:
     kurtosis_real_unequalized: float
     real_part_alphabet_error_rate: float
 
-    def __post_init__(self) -> None:
-        if self.sigma_q_sq < 0.0:
-            raise ValueError("sigma_q_sq must be >= 0")
-
 
 def _srrc(t: np.ndarray, beta: float) -> np.ndarray:
     """Square-root raised-cosine impulse response; t in symbol periods."""

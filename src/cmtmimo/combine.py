@@ -2,38 +2,26 @@
 
 Matched-filter weights maximize array gain without interference
 suppression; MMSE weights invert the received covariance (built from
-cross-cell channel knowledge) and dominate MF on every realization.  The
-SINR metric that compares them with the blind weights is
+cross-cell channel knowledge) and dominate MF on every realization.
+Weights are plain complex arrays, one (N,) row per combiner.  The SINR
+metric that compares them with the blind weights is
 ``harness.probe_sinrs``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class CombinerWeights:
-    """Weight vector of one user's combiner."""
-
-    w: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.w)):
-            raise ValueError("weights must be finite")
-        if np.linalg.norm(self.w) == 0.0:
-            raise ValueError("weights must be nonzero")
-
-
-def mf_weights(h: np.ndarray) -> CombinerWeights:
-    """Matched-filter weights w = h / ||h||^2, so that w^H h = 1."""
+def mf_weights(h: np.ndarray) -> np.ndarray:
+    """Matched-filter weights w = h / ||h||^2, shape (N,), so that w^H h = 1."""
     h = np.asarray(h, dtype=complex)
+    if not np.all(np.isfinite(h)):
+        raise ValueError("cannot build MF weights from a non-finite channel vector")
     energy = np.real(np.vdot(h, h))
     if energy == 0.0:
         raise ValueError("cannot build MF weights from a zero channel vector")
-    return CombinerWeights(w=h / energy)
+    return h / energy
 
 
 def mmse_weights(
@@ -42,8 +30,9 @@ def mmse_weights(
     own_cell: int,
     sigma_v_sq: float,
     symbol_second_moment: float,
-) -> list[CombinerWeights]:
-    """MMSE combiner per in-cell user, from cross-cell channel knowledge.
+) -> np.ndarray:
+    """MMSE weights of every in-cell user, shape (K, N), from cross-cell
+    channel knowledge.
 
     Parameters
     ----------
@@ -59,7 +48,7 @@ def mmse_weights(
     symbol_second_moment : float
         E|t|^2 of the transmitted symbols (PAM energy + sigma_q^2).
 
-    Weights solve R_x w = h and are rescaled so Re{w^H h} = 1, with
+    Row l solves R_x w = h_l and is rescaled so Re{w^H h_l} = 1, with
     R_x = E|t|^2 sum_m H_mj A_mj^2 H_mj^H + sigma_v^2 I.
     """
     if not sigma_v_sq > 0.0:
@@ -74,12 +63,10 @@ def mmse_weights(
     cov += sigma_v_sq * np.eye(n_ant)
     h_own = h_mj[own_cell]
     solved = np.linalg.solve(cov, h_own)
-    out = []
+    scales = np.empty(h_own.shape[1])
     for l in range(h_own.shape[1]):
-        w = solved[:, l]
-        scale = np.real(np.vdot(w, h_own[:, l]))
-        if scale == 0.0:
+        scales[l] = np.real(np.vdot(solved[:, l], h_own[:, l]))
+        if scales[l] == 0.0:
             raise ValueError(f"MMSE weights for user {l} are orthogonal to the channel")
-        out.append(CombinerWeights(w=w / scale))
-    return out
+    return (solved / scales).T
 

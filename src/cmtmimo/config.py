@@ -6,6 +6,9 @@ L = 256 subcarriers over 5 MHz (19.531 kHz spacing), binary PAM, and a
 32 dB operating-point calibration.  Every field can be set from a YAML
 file or a dotted-path override; an unknown key, or a value that is not
 of the type the field is annotated with, is rejected with its full path.
+``validate_config`` then rejects, naming the key, a non-finite number
+(only ``noise.target_sinr_db`` takes +inf) before any bound or object
+built from the config sees it.
 
 A value the code derives from other keys has no key of its own: the
 noise variance follows from ``noise.target_sinr_db``, and the tracker's
@@ -16,6 +19,7 @@ alphabet (see ``harness.calibrate_noise`` and ``harness._track_group``).
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass, field
 
@@ -178,10 +182,42 @@ def _build(path: str, build):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _all_finite(value) -> bool:
+    """Whether ``value``, a number or a nested list, holds only numbers
+    (not bools) with finite float values."""
+    if isinstance(value, list):
+        return all(_all_finite(item) for item in value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _check_numbers(config: ExperimentConfig) -> None:
+    """Reject a non-finite float key (``noise.target_sinr_db`` may be
+    +inf), a list key holding anything but finite numbers, and a nested
+    or empty ``signaling.pam_levels``, naming the key."""
+    for section in dataclasses.fields(config):
+        values = getattr(config, section.name)
+        for key, kind in typing.get_type_hints(type(values)).items():
+            path, value = f"{section.name}.{key}", getattr(values, key)
+            if kind is float and path != "noise.target_sinr_db" and not _all_finite(value):
+                raise ValueError(f"{path} must be finite (got {value!r})")
+            if isinstance(value, list) and not _all_finite(value):
+                raise ValueError(f"{path} must hold only finite numbers (got {value!r})")
+    levels = config.signaling.pam_levels
+    if not levels or any(isinstance(x, list) for x in levels):
+        raise ValueError(f"signaling.pam_levels must be a non-empty flat list (got {levels!r})")
+
+
 def validate_config(config: ExperimentConfig) -> ExperimentConfig:
-    """Check every cross-field constraint; raises naming the key and its bound."""
+    """Check every value and cross-field constraint; raises naming the key
+    and what its value must be."""
     topo, ch, cm, sig = config.topology, config.channel, config.cmt, config.signaling
     noise, pilot, b, eye = config.noise, config.pilot, config.blind, config.eye
+    _check_numbers(config)
     _build("signaling.pam_levels", config.alphabet)
     _build("channel.pdp_delays_us/pdp_powers_db", config.pdp)
     explicit = _build("topology.explicit_gains", config.explicit_topology)

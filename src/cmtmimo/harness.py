@@ -189,18 +189,18 @@ def build_scenario(
     )
     h_stack = channel.matrix_stack(realization, config.channel.subcarrier_index)
     if config.pilot.estimator == "direct":
-        estimate = airlink.estimate_channels_direct(
+        h_hat = airlink.estimate_channels_direct(
             topo, h_stack, 0, sigma_v_sq, config.pilot.pilot_len, rng
         )
     else:
         pilots = airlink.dft_pilot_book(topo.users_per_cell, config.pilot.pilot_len)
         frames = airlink.send_pilots(topo, h_stack, 0, pilots, sigma_v_sq, rng)
-        estimate = airlink.estimate_channels_correlate(pilots, frames)
+        h_hat = airlink.estimate_channels_correlate(pilots, frames)
     return TrialScenario(
         topo=topo,
         h_stack=h_stack,
         h_desired=h_stack[0, 0][:, 0].copy(),
-        h_hat=estimate.H_hat[:, 0].copy(),
+        h_hat=h_hat[:, 0].copy(),
         sigma_v_sq=sigma_v_sq,
         sigma_q=sigma_q,
         alphabet=config.alphabet(),
@@ -251,21 +251,16 @@ def probe_sinrs(ws: np.ndarray, x_block: np.ndarray, s_block: np.ndarray) -> np.
     return sinr
 
 
-def block_sinr(w, x_block: np.ndarray, s_block: np.ndarray) -> float:
-    """``probe_sinrs`` of one combiner (CombinerWeights or an (N,) array)."""
-    w_vec = w.w if isinstance(w, combine.CombinerWeights) else np.asarray(w, dtype=complex)
-    return float(probe_sinrs(w_vec[None, :], x_block, s_block)[0])
-
-
-def reference_weights(scen: TrialScenario, config: ExperimentConfig):
-    """MF-perfect, MMSE-perfect, MF-contaminated combiners for user 0."""
+def reference_weights(scen: TrialScenario, config: ExperimentConfig) -> np.ndarray:
+    """MF-perfect, MMSE-perfect and MF-contaminated weights for user 0,
+    stacked in that order, shape (3, N)."""
     et2 = config.alphabet().second_moment + scen.sigma_q**2
     w_mf = combine.mf_weights(scen.h_desired)
     w_mmse = combine.mmse_weights(
         scen.h_stack[:, 0], scen.topo.gains_at(0), 0, scen.sigma_v_sq, et2
     )[0]
     w_contam = combine.mf_weights(scen.h_hat)
-    return w_mf, w_mmse, w_contam
+    return np.stack([w_mf, w_mmse, w_contam])
 
 
 def _probe_schedule(config: ExperimentConfig, total: int) -> list[int]:
@@ -409,7 +404,7 @@ def _track_group(
         packets[:, t] = scen.draw_block(packet_len)[0]
         scens.append(scen)
     state = blind.BlindTrackerState(
-        w=[combine.mf_weights(scen.h_hat).w for scen in scens],
+        w=[combine.mf_weights(scen.h_hat) for scen in scens],
         mu=config.blind.mu,
         epsilon=1e-12 * num_antennas,
         R=blind.dispersion_constant(config.alphabet(), 1),
@@ -449,8 +444,8 @@ def _fig3_group(
     rows = []
     for t, scen in enumerate(scens):
         x_probe, s_probe = scen.draw_block(config.blind.probe_symbols)
-        refs = [w.w for w in reference_weights(scen, config)]
-        rows.append(probe_sinrs(np.vstack(refs + [weights[:, t]]), x_probe, s_probe))
+        ws = np.vstack([reference_weights(scen, config), weights[:, t]])
+        rows.append(probe_sinrs(ws, x_probe, s_probe))
     stages["score"].add(len(scens) * (3 + len(schedule)), start)
     return np.array(rows), stages
 

@@ -40,7 +40,8 @@ class CellTopology:
             raise ValueError(
                 f"cross_gain must have shape {(m, m, k)}, got {gains.shape}"
             )
-        if gains.min() < 0.0 or gains.max() > 1.0:
+        # written so that a nan gain fails too
+        if not np.all((gains >= 0.0) & (gains <= 1.0)):
             raise ValueError("cross-gains must lie in [0, 1]")
         in_cell = gains[np.arange(m), np.arange(m), :]
         if not np.all(in_cell == 1.0):

@@ -13,7 +13,7 @@ they fail and survives when they pass.  The edit must find its old text
 exactly once, and the named tests must pass on an unmutated copy; either
 failure stops the script with exit 2, since a kill would then mean
 nothing.  One line is printed per mutant; the exit status is 1 if any
-survived.  All of them take about 80 s on a 2-vCPU host.  Pytest does
+survived.  All of them take about 90 s on a 2-vCPU host.  Pytest does
 not collect this file (no ``test_`` prefix).
 """
 
@@ -108,8 +108,8 @@ MUTANTS = [
     Mutant(
         "correlating estimate not divided by tau",
         "src/cmtmimo/airlink.py",
-        "frames.T @ pilots.sequences.conj().T / tau",
-        "frames.T @ pilots.sequences.conj().T",
+        "frames.T @ pilots.conj().T / tau",
+        "frames.T @ pilots.conj().T",
         ("tests/test_harness.py::test_build_scenario_estimator_modes_agree_statistically",),
     ),
     Mutant(
@@ -139,6 +139,55 @@ MUTANTS = [
         "trial = first_trial + int(np.argmin(finite.all(axis=(0, 2))))",
         "trial = int(np.argmin(finite.all(axis=(0, 2))))",
         ("tests/test_blind.py::test_run_packet_input_validation",),
+    ),
+    Mutant(
+        "finite-number check skips list keys",
+        "src/cmtmimo/config.py",
+        "if isinstance(value, list) and not _all_finite(value):",
+        "if isinstance(value, tuple) and not _all_finite(value):",
+        ("tests/test_cli.py::test_bad_config_value_exits_two_naming_its_key",),
+    ),
+    Mutant(
+        "finite-number check skips the optional list key",
+        "src/cmtmimo/config.py",
+        "if isinstance(value, list) and not _all_finite(value):",
+        "if kind is list and not _all_finite(value):",
+        ("tests/test_cli.py::test_bad_config_value_exits_two_naming_its_key",),
+    ),
+    Mutant(
+        "every float key takes +inf",
+        "src/cmtmimo/config.py",
+        'path != "noise.target_sinr_db" and not _all_finite(value)',
+        "not (_all_finite(value) or value == math.inf)",
+        ("tests/test_cli.py::test_bad_config_value_exits_two_naming_its_key",),
+    ),
+    Mutant(
+        "noise.target_sinr_db rejects +inf",
+        "src/cmtmimo/config.py",
+        'path != "noise.target_sinr_db" and not _all_finite(value)',
+        "not _all_finite(value)",
+        ("tests/test_cli.py::test_infinite_target_sinr_is_still_accepted",),
+    ),
+    Mutant(
+        "an integer beyond the float range escapes the list check",
+        "src/cmtmimo/config.py",
+        "except OverflowError:",
+        "except ZeroDivisionError:",
+        ("tests/test_cli.py::test_bad_config_value_exits_two_naming_its_key",),
+    ),
+    Mutant(
+        "pam_levels accepts a nested list",
+        "src/cmtmimo/config.py",
+        "if not levels or any(isinstance(x, list) for x in levels):",
+        "if not levels:",
+        ("tests/test_cli.py::test_bad_config_value_exits_two_naming_its_key",),
+    ),
+    Mutant(
+        "a nan cross-gain passes the topology",
+        "src/cmtmimo/topology.py",
+        "if not np.all((gains >= 0.0) & (gains <= 1.0)):",
+        "if gains.min() < 0.0 or gains.max() > 1.0:",
+        ("tests/test_topology.py::test_explicit_topology_validates_invariants",),
     ),
 ]
 

@@ -6,7 +6,7 @@ from cmtmimo import blind, combine
 
 def start(h, mu=0.05):
     """Tracker state at the matched filter on ``h``: the experiments' start."""
-    return blind.BlindTrackerState(w=combine.mf_weights(h).w, mu=mu, epsilon=1e-12 * h.size)
+    return blind.BlindTrackerState(w=combine.mf_weights(h), mu=mu, epsilon=1e-12 * h.size)
 
 
 def test_binary_alphabet_moments():
@@ -176,7 +176,7 @@ def test_run_packet_batch_rows_match_single_trials():
     packets = rng.standard_normal((12, trials, n)) + 1j * rng.standard_normal((12, trials, n))
     hs = rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n))
     batch = blind.BlindTrackerState(
-        w=np.stack([combine.mf_weights(h).w for h in hs]), mu=0.05, epsilon=1e-12 * n
+        w=np.stack([combine.mf_weights(h) for h in hs]), mu=0.05, epsilon=1e-12 * n
     )
     weights, decisions = blind.run_packet(
         batch, packets, passes=2, snapshots=[0, 9, 24], collect_decisions=True
@@ -275,7 +275,7 @@ def test_run_packet_raises_on_divergence():
     packet = rng.standard_normal((50, 3, n)) + 1j * rng.standard_normal((50, 3, n))
     packet[:, 0] *= 1e-3
     packet[:, 2] *= 1e-3
-    w = np.stack([combine.mf_weights(packet[0, t]).w for t in range(3)])
+    w = np.stack([combine.mf_weights(packet[0, t]) for t in range(3)])
     state = blind.BlindTrackerState(w=w, mu=3.0, epsilon=0.0)
     with pytest.raises(FloatingPointError, match=r"trial 5 are non-finite at iteration \d+ "):
         blind.run_packet(

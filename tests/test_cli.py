@@ -1,12 +1,17 @@
+import dataclasses
+import json
 import multiprocessing
 import re
 import statistics
 import tempfile
 import threading
+import typing
 
 import numpy as np
+import pytest
 
 from cmtmimo import cli, harness, verify
+from cmtmimo.config import ExperimentConfig
 
 
 def test_parser_knows_all_subcommands():
@@ -189,6 +194,73 @@ def test_bad_override_raises(tmp_path, capsys):
         assert err.startswith("cmtmimo: error: ") and expected in err
         assert err.count("\n") == 1
     assert not any(tmp_path.iterdir())
+
+
+# an integer beyond the float range: a number, but no finite float
+BIG = "1" + "0" * 400
+
+
+def _bad_values():
+    """(subcommand, override, key, what its value must be): nan, +inf and
+    -inf for every float key and as the last number of every list key,
+    ``BIG`` in a list, and an empty and a nested ``signaling.pam_levels``
+    under every subcommand."""
+    config = ExperimentConfig()
+    # a valid 2-cell, 1-user tensor stands in for the key whose default is None
+    defaults = {"topology.explicit_gains": [[[1.0], [0.5]], [[0.5], [1.0]]]}
+    cases = []
+    for section in dataclasses.fields(config):
+        values = getattr(config, section.name)
+        for key, kind in typing.get_type_hints(type(values)).items():
+            path = f"{section.name}.{key}"
+            value = defaults.get(path, getattr(values, key))
+            for bad in (".nan", ".inf", "-.inf"):
+                if kind is float and (path, bad) != ("noise.target_sinr_db", ".inf"):
+                    cases.append(("simulate", f"{path}={bad}", path, "finite"))
+                elif isinstance(value, list):
+                    text = re.sub(r"[-+.0-9e]+(?=\]*$)", bad, json.dumps(value))
+                    cases.append(("simulate", f"{path}={text}", path, "finite numbers"))
+    cases.append(("simulate", f"signaling.pam_levels=[-1, {BIG}]", "signaling.pam_levels", "finite"))
+    for command in ("simulate", "eye", "gaussianity", "verify"):
+        for levels in ("[]", "[[1.0, -1.0]]"):
+            override = f"signaling.pam_levels={levels}"
+            cases.append((command, override, "signaling.pam_levels", "non-empty flat list"))
+    return cases
+
+
+BAD_VALUES = _bad_values()
+
+
+@pytest.mark.parametrize(
+    "command, override, key, must",
+    BAD_VALUES,
+    ids=[f"{command}:{override.replace(BIG, 'BIG')}" for command, override, _, _ in BAD_VALUES],
+)
+def test_bad_config_value_exits_two_naming_its_key(
+    tmp_path, capsys, monkeypatch, command, override, key, must
+):
+    # a non-finite or malformed value ends the run before any work: main
+    # returns (no exception escapes) 2 after one line that names the key
+    # and what its value must be, and no CSV is written
+    def unreached(*args):
+        raise AssertionError(f"a run with {override} started")
+
+    monkeypatch.setattr(harness, "build_scenario", unreached)
+    monkeypatch.setattr(harness, "_intrinsic_stats", unreached)
+    monkeypatch.setattr(verify, "run_verify", unreached)
+    out = tmp_path / "out"
+    rc = cli.main([command, "--trials", "2", "--out", str(out), "--override", override])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"cmtmimo: error: {key} must ") and must in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_infinite_target_sinr_is_still_accepted(monkeypatch):
+    # +inf is the noiseless operating point, the one infinite value a key takes
+    monkeypatch.setattr(verify, "run_verify", lambda seed: [verify.CheckResult("x", True, "", 0.0)])
+    assert cli.main(["verify", "--override", "noise.target_sinr_db=.inf"]) == 0
 
 
 def test_out_blocked_by_a_file_fails_before_the_run(tmp_path, capsys, monkeypatch):

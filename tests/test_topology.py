@@ -43,6 +43,11 @@ def test_explicit_topology_validates_invariants():
     out_of_range[0, 1, 0] = 1.2
     with pytest.raises(ValueError):
         topology.explicit_topology(out_of_range)
+    # a nan gain compares false with both bounds, and fails all the same
+    nan_gain = np.full((2, 2, 1), 1.0)
+    nan_gain[0, 1, 0] = np.nan
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        topology.explicit_topology(nan_gain)
     with pytest.raises(ValueError):
         topology.explicit_topology(np.ones((2, 3, 1)))
 

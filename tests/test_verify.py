@@ -19,8 +19,7 @@ def test_suite_catches_a_planted_normalization_bug(monkeypatch):
     # sanity check of the checker itself: break the matched-filter gain
     # normalization and the named identity check must go red
     def broken(h):
-        h = np.asarray(h, dtype=complex)
-        return combine.CombinerWeights(w=h.copy())  # missing 1/||h||^2
+        return np.array(h, dtype=complex)  # missing 1/||h||^2
 
     monkeypatch.setattr(combine, "mf_weights", broken)
     with pytest.raises(AssertionError, match=r"w\^H h"):
