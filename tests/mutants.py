@@ -92,6 +92,46 @@ MUTANTS = [
         ("tests/test_cmt.py::test_prototype_spectrum_is_the_hermitian_dft",),
     ),
     Mutant(
+        "loopback analyses with the unconjugated prototype spectrum",
+        "src/cmtmimo/cmt.py",
+        "matched = np.conj(prototype, out=prototype)",
+        "matched = prototype",
+        ("tests/test_cmt.py::test_loopback_matches_its_plain_composition",),
+    ),
+    Mutant(
+        "loopback analyses the spectrum before the stream is taken from it",
+        "src/cmtmimo/cmt.py",
+        "    x = np.fft.ifft(spectrum, axis=0).ravel()\n"
+        "    y = _analysis(spectrum, config, num_frames, matched)[:, interior]\n",
+        "    y = _analysis(spectrum, config, num_frames, matched)[:, interior]\n"
+        "    x = np.fft.ifft(spectrum, axis=0).ravel()\n",
+        ("tests/test_cmt.py::test_loopback_matches_its_plain_composition",),
+    ),
+    Mutant(
+        "multipath pass drops its last tap",
+        "src/cmtmimo/cmt.py",
+        "zip(delays[1:], gains[1:])",
+        "zip(delays[1:-1], gains[1:-1])",
+        (
+            "tests/test_cmt.py::test_loopback_matches_its_plain_composition",
+            "tests/test_cmt.py::test_multipath_pass_matches_fftconvolve_and_direct_form",
+        ),
+    ),
+    Mutant(
+        "loopback floor needs two interior symbols",
+        "src/cmtmimo/cmt.py",
+        "if interior_per_sub < 1 or",
+        "if interior_per_sub < 2 or",
+        ("tests/test_cmt.py::test_measure_intrinsic_stats_rejects_short_runs",),
+    ),
+    Mutant(
+        "loopback floor message counts at least one interior symbol",
+        "src/cmtmimo/cmt.py",
+        "max(interior_per_sub, 0)",
+        "max(interior_per_sub, 1)",
+        ("tests/test_cmt.py::test_measure_intrinsic_stats_rejects_short_runs",),
+    ),
+    Mutant(
         "kurtosis of q squares once",
         "src/cmtmimo/cmt.py",
         "np.mean(np.square(np.square(q - q.mean())))",
@@ -174,6 +214,20 @@ MUTANTS = [
         "except OverflowError:",
         "except ZeroDivisionError:",
         ("tests/test_cli.py::test_bad_config_value_exits_two_naming_its_key",),
+    ),
+    Mutant(
+        "a float key takes an integer beyond the float range to float()",
+        "src/cmtmimo/config.py",
+        "float(value) if kind is float and _all_finite(value) else value",
+        "float(value) if kind is float else value",
+        ("tests/test_cli.py::test_bad_config_value_exits_two_naming_its_key",),
+    ),
+    Mutant(
+        "blind.probe_dense_every rejects 1",
+        "src/cmtmimo/config.py",
+        "b.probe_dense_every >= 1",
+        "b.probe_dense_every > 1",
+        ("tests/test_cli.py::test_simulate_probes_after_every_update",),
     ),
     Mutant(
         "pam_levels accepts a nested list",

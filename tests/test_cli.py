@@ -128,6 +128,14 @@ def test_gaussianity_with_fewer_subcarriers_than_multipath_taps(tmp_path, capsys
     assert (tmp_path / "stats.csv").exists()
 
 
+def test_simulate_probes_after_every_update(tmp_path, capsys):
+    # blind.probe_dense_every's floor: a probe after each dense-phase update
+    extra = ("--trials", "1", "--override", "blind.probe_dense_every=1")
+    rc = cli.main(["simulate", *small_args(tmp_path, extra)])
+    assert rc == 0, capsys.readouterr().err
+    assert (tmp_path / "trajectory.csv").exists()
+
+
 def test_verify_exit_codes(monkeypatch, capsys):
     ok = [verify.CheckResult("x", True, "", 0.0)]
     bad = [verify.CheckResult("x", True, "", 0.0), verify.CheckResult("y", False, "boom", 0.0)]
@@ -203,8 +211,8 @@ BIG = "1" + "0" * 400
 def _bad_values():
     """(subcommand, override, key, what its value must be): nan, +inf and
     -inf for every float key and as the last number of every list key,
-    ``BIG`` in a list, and an empty and a nested ``signaling.pam_levels``
-    under every subcommand."""
+    ``BIG`` in a list and as a float key, and an empty and a nested
+    ``signaling.pam_levels`` under every subcommand."""
     config = ExperimentConfig()
     # a valid 2-cell, 1-user tensor stands in for the key whose default is None
     defaults = {"topology.explicit_gains": [[[1.0], [0.5]], [[0.5], [1.0]]]}
@@ -221,6 +229,7 @@ def _bad_values():
                     text = re.sub(r"[-+.0-9e]+(?=\]*$)", bad, json.dumps(value))
                     cases.append(("simulate", f"{path}={text}", path, "finite numbers"))
     cases.append(("simulate", f"signaling.pam_levels=[-1, {BIG}]", "signaling.pam_levels", "finite"))
+    cases.append(("simulate", f"blind.mu={BIG}", "blind.mu", "finite"))
     for command in ("simulate", "eye", "gaussianity", "verify"):
         for levels in ("[]", "[[1.0, -1.0]]"):
             override = f"signaling.pam_levels={levels}"
