@@ -9,7 +9,8 @@ invariant suite:
     cmtmimo verify      cross-module invariant checks
 
 Every subcommand accepts --config (YAML), --seed, --trials, --out, and
-repeatable --override key=value pairs applied after the file.
+repeatable --override key=value pairs applied after the file; the file
+and its overrides are validated together.
 ``simulate`` and ``eye`` end with one line per stage of the run: its
 work count and its seconds, summed over the worker processes.
 
@@ -26,7 +27,7 @@ import statistics
 import sys
 
 from . import harness, verify
-from .config import assign_override, load_config, validate_config
+from .config import assign_override, read_config, validate_config
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -60,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace):
-    config = load_config(args.config)
+    """The config file with every override and flag applied, validated once."""
+    config = read_config(args.config)
     for item in args.override:
         assign_override(config, item)
     if args.seed is not None:
@@ -75,12 +77,7 @@ def _resolve_config(args: argparse.Namespace):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _resolve_config(args)
-    except ValueError as exc:
-        print(f"cmtmimo: error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _run(args.command, config)
+        return _run(args.command, _resolve_config(args))
     except ValueError as exc:
         print(f"cmtmimo: error: {exc}", file=sys.stderr)
         return 2

@@ -294,6 +294,12 @@ def load_config(path: str | None = None) -> ExperimentConfig:
     ``path=None`` or an empty file yields the full default configuration.
     Unknown keys and type mismatches raise with the offending dotted path.
     """
+    return validate_config(read_config(path))
+
+
+def read_config(path: str | None = None) -> ExperimentConfig:
+    """``load_config`` without the validation, so that overrides can make
+    the file consistent before ``validate_config`` runs once."""
     config = ExperimentConfig()
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
@@ -304,7 +310,7 @@ def load_config(path: str | None = None) -> ExperimentConfig:
             raise ValueError("config file must contain a mapping at top level")
         for key, value in data.items():
             _assign(config, str(key), value, str(key))
-    return validate_config(config)
+    return config
 
 
 def assign_override(config: ExperimentConfig, spec: str) -> ExperimentConfig:

@@ -569,7 +569,12 @@ def run_eye(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     total = passes * config.blind.packet_len
     num_buckets = config.eye.num_buckets
     if total < num_buckets:
-        raise ValueError("eye.updates must provide at least one decision per bucket")
+        # each bucket needs at least one decision
+        raise ValueError(
+            f"eye.updates, rounded up to whole packets of blind.packet_len = "
+            f"{config.blind.packet_len}, must be >= eye.num_buckets = {num_buckets} "
+            f"(got {total})"
+        )
     bounds = np.arange(num_buckets + 1) * total // num_buckets
     sigma_q = float(np.sqrt(resolve_sigma_q_sq(config)))
     sigma_v_sq = calibrate_noise(config)

@@ -13,7 +13,7 @@ they fail and survives when they pass.  The edit must find its old text
 exactly once, and the named tests must pass on an unmutated copy; either
 failure stops the script with exit 2, since a kill would then mean
 nothing.  One line is printed per mutant; the exit status is 1 if any
-survived.  All of them take about 90 s on a 2-vCPU host.  Pytest does
+survived.  All of them take about 160 s on a 2-vCPU host.  Pytest does
 not collect this file (no ``test_`` prefix).
 """
 
@@ -243,6 +243,56 @@ MUTANTS = [
         "if gains.min() < 0.0 or gains.max() > 1.0:",
         ("tests/test_topology.py::test_explicit_topology_validates_invariants",),
     ),
+    Mutant(
+        "golden rule skips the iteration column",
+        "tests/golden/regen.py",
+        "ok = int(a) == int(b)\n",
+        'ok = int(a) == int(b) or column == "iteration"\n',
+        ("tests/test_golden.py::test_compare_and_diff_judge_alike",),
+    ),
+    Mutant(
+        "golden rule lets every crossing move",
+        "tests/golden/regen.py",
+        "return abs(blind - mf) <= RTOL * abs(mf)",
+        "return True",
+        ("tests/test_golden.py::test_compare_and_diff_judge_alike",),
+    ),
+]
+
+# each comparison in validate_config's bounds that no other test pins,
+# flipped to or from strict (``>=`` <-> ``>``, ``<=`` <-> ``<``)
+MUTANTS += [
+    Mutant(
+        f"config bound {old} flipped",
+        "src/cmtmimo/config.py",
+        old,
+        new,
+        ("tests/test_cli.py::test_config_edge_is_accepted_and_one_step_past_exits_two",),
+    )
+    for old, new in [
+        ("topo.num_cells >= 1", "topo.num_cells > 1"),
+        ("topo.gain_low <= topo.gain_high", "topo.gain_low < topo.gain_high"),
+        ("ch.bandwidth_hz > 0", "ch.bandwidth_hz >= 0"),
+        ("ch.num_subcarriers >= 2", "ch.num_subcarriers > 2"),
+        ("ch.num_antennas >= 1", "ch.num_antennas > 1"),
+        ("0 <= ch.subcarrier_index", "0 < ch.subcarrier_index"),
+        ("cm.overlap_factor >= 4", "cm.overlap_factor > 4"),
+        ("0.0 < cm.rolloff", "0.0 <= cm.rolloff"),
+        ("cm.rolloff <= 1.0", "cm.rolloff < 1.0"),
+        ("cm.num_frames > 2 * cm.overlap_factor", "cm.num_frames >= 2 * cm.overlap_factor"),
+        ("sig.sigma_q_sq >= 0.0", "sig.sigma_q_sq > 0.0"),
+        ("b.mu >= 0.0", "b.mu > 0.0"),
+        ("b.packet_len >= 1", "b.packet_len > 1"),
+        ("b.passes >= 1", "b.passes > 1"),
+        ("b.probe_dense_until >= 0", "b.probe_dense_until > 0"),
+        ("b.probe_mid_every >= 1", "b.probe_mid_every > 1"),
+        ("b.probe_mid_until >= 0", "b.probe_mid_until > 0"),
+        ("b.probe_sparse_every >= 1", "b.probe_sparse_every > 1"),
+        ("eye.updates >= 1", "eye.updates > 1"),
+        ("eye.num_buckets >= 2", "eye.num_buckets > 2"),
+        ("eye.samples_per_bucket >= 1", "eye.samples_per_bucket > 1"),
+        ("config.run.master_seed >= 0", "config.run.master_seed > 0"),
+    ]
 ]
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import multiprocessing
 import re
 import statistics
@@ -406,3 +407,81 @@ def test_flag_overrides_apply_after_file(tmp_path):
     config = cli._resolve_config(args)
     assert config.run.master_seed == 5
     assert config.run.num_trials == 3
+
+
+def test_file_and_overrides_are_validated_together(tmp_path, monkeypatch, capsys):
+    # a file that only its overrides and flags make consistent is accepted:
+    # 16 subcarriers leave the default subcarrier_index of 64 out of range
+    seeds, ok = [], [verify.CheckResult("x", True, "", 0.0)]
+    monkeypatch.setattr(verify, "run_verify", lambda seed: seeds.append(seed) or ok)
+    cfg_path = tmp_path / "f.yaml"
+    cfg_path.write_text("channel: {num_subcarriers: 16}\nrun: {num_trials: 0}\n")
+    args = ["verify", "--config", str(cfg_path), "--override", "channel.subcarrier_index=4"]
+    assert cli.main([*args, "--trials", "1", "--seed", "3"]) == 0, capsys.readouterr().err
+    assert seeds == [3]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err.startswith("cmtmimo: error: run.num_trials must be >= 1")
+
+
+TINY = math.nextafter(0.0, 1.0)
+
+# every comparison in validate_config's bounds: the key, its edge value, the
+# value one step past the edge, and the overrides of a partner key it needs
+EDGES = [
+    ("topology.num_cells", 1, 0, ()),
+    ("topology.users_per_cell", 1, 0, ()),
+    ("topology.gain_low", 0.0, -TINY, ()),
+    ("topology.gain_low", 0.5, math.nextafter(0.5, 1.0), ("topology.gain_high=0.5",)),
+    ("topology.gain_high", 1.0, math.nextafter(1.0, 2.0), ()),
+    ("channel.bandwidth_hz", TINY, 0.0, ()),
+    ("channel.num_subcarriers", 2, 1, ("channel.subcarrier_index=0",)),
+    ("channel.num_antennas", 1, 0, ()),
+    ("channel.subcarrier_index", 0, -1, ()),
+    ("channel.subcarrier_index", 15, 16, ("channel.num_subcarriers=16",)),
+    ("cmt.overlap_factor", 4, 3, ()),
+    ("cmt.rolloff", TINY, 0.0, ()),
+    ("cmt.rolloff", 1.0, math.nextafter(1.0, 2.0), ()),
+    ("cmt.num_frames", 9, 8, ("cmt.overlap_factor=4",)),
+    ("signaling.sigma_q_sq", 0.0, -TINY, ()),
+    ("pilot.pilot_len", 3, 2, ("topology.users_per_cell=3",)),
+    ("blind.mu", 0.0, -TINY, ()),
+    ("blind.mu", math.nextafter(1.0, 0.0), 1.0, ("blind.normalized=true",)),
+    ("blind.packet_len", 1, 0, ()),
+    ("blind.passes", 1, 0, ()),
+    ("blind.probe_symbols", 1000, 999, ()),
+    ("blind.probe_dense_every", 1, 0, ()),
+    ("blind.probe_dense_until", 0, -1, ()),
+    ("blind.probe_mid_every", 1, 0, ()),
+    ("blind.probe_mid_until", 0, -1, ()),
+    ("blind.probe_sparse_every", 1, 0, ()),
+    ("eye.updates", 1, 0, ()),
+    ("eye.num_buckets", 2, 1, ()),
+    ("eye.samples_per_bucket", 1, 0, ()),
+    ("run.master_seed", 0, -1, ()),
+    ("run.num_trials", 1, 0, ()),
+]
+
+
+def _yaml(value) -> str:
+    # YAML reads a number as a float only with a dot and a signed exponent
+    return f"{value:.17e}" if isinstance(value, float) else str(value)
+
+
+@pytest.mark.parametrize(
+    "key, edge, past, partners", EDGES, ids=[f"{key}={edge!r}" for key, edge, _, _ in EDGES]
+)
+def test_config_edge_is_accepted_and_one_step_past_exits_two(
+    key, edge, past, partners, monkeypatch, capsys
+):
+    # the edge value reaches the (stubbed) run; one step past it ends the run
+    # before it starts, with exit 2 and one line naming the key
+    runs = []
+    monkeypatch.setattr(cli, "_run", lambda command, config: runs.append(config) or 0)
+    args = ["simulate", *(arg for partner in partners for arg in ("--override", partner))]
+    assert cli.main([*args, "--override", f"{key}={_yaml(edge)}"]) == 0, capsys.readouterr().err
+    section, name = key.split(".")
+    assert getattr(getattr(runs.pop(), section), name) == edge
+    assert cli.main([*args, "--override", f"{key}={_yaml(past)}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cmtmimo: error: {key} must ") and err.count("\n") == 1
+    assert not runs

@@ -1,12 +1,8 @@
-"""Golden-value gate: rerun the fixture runs and compare their CSVs with
-the committed ones in ``tests/golden/``, column by column.
-
-Integer columns must match exactly; float columns within a relative 1e-9
-of the fixture; +-inf and nan must stay what they were.  A trial's
-``cross_iteration`` may move only where the blind SINR it crosses at sits
-within that same tolerance of the MF-perfect level.  The fixtures are
-tied to the numpy version that wrote them, since its generators and
-linear algebra fix the digits; ``tests/golden/regen.py`` rewrites them.
+"""Golden-value gate: rerun the fixture runs and judge their CSVs against the
+fixtures in ``tests/golden/`` by the golden rule, which lives only in
+``tests/golden/regen.py``'s ``compare`` and which ``regen.py --diff`` applies
+too.  The fixtures are tied to the numpy version that wrote them, since its
+generators and linear algebra fix the digits; ``regen.py`` rewrites them.
 """
 
 from __future__ import annotations
@@ -23,61 +19,10 @@ import pytest
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
-INT_COLUMNS = {"trial_id", "iteration", "iteration_bucket"}
 
 _spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN / "regen.py")
 regen = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regen)
-RTOL = regen.RTOL
-
-
-def _read(path: Path) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    return rows[0], rows[1:]
-
-
-def _floats_agree(golden: float, got: float) -> bool:
-    if not (math.isfinite(golden) and math.isfinite(got)):
-        return golden == got or (math.isnan(golden) and math.isnan(got))
-    return abs(got - golden) <= RTOL * abs(golden)
-
-
-def _crossing_is_marginal(run_dir: Path, trial: int, golden: int, got: int) -> bool:
-    """True if the earlier of two crossings is at an iteration where the
-    fixture's blind SINR lies within RTOL of its MF-perfect level."""
-    at = min(i for i in (golden, got) if i >= 0)
-    header, rows = _read(run_dir / "trajectory.csv")
-    col = {name: i for i, name in enumerate(header)}
-    for row in rows:
-        if int(row[col["trial_id"]]) == trial and int(row[col["iteration"]]) == at:
-            blind = float(row[col["sinr_blind_db"]])
-            mf = float(row[col["sinr_mf_perfect_db"]])
-            return abs(blind - mf) <= RTOL * abs(mf)
-    return False
-
-
-def _mismatches(run_dir: Path, name: str, out_dir: Path) -> list[str]:
-    golden_header, golden_rows = _read(run_dir / name)
-    header, rows = _read(out_dir / name)
-    if header != golden_header:
-        return [f"{name}: header {header} != {golden_header}"]
-    if len(rows) != len(golden_rows):
-        return [f"{name}: {len(rows)} rows, fixture has {len(golden_rows)}"]
-    bad = []
-    for r, (golden_row, row) in enumerate(zip(golden_rows, rows), start=2):
-        for column, a, b in zip(header, golden_row, row):
-            if column in INT_COLUMNS:
-                ok = int(a) == int(b)
-            elif column == "cross_iteration":
-                ok = int(a) == int(b) or _crossing_is_marginal(
-                    run_dir, int(row[0]), int(a), int(b)
-                )
-            else:
-                ok = _floats_agree(float(a), float(b))
-            if not ok:
-                bad.append(f"{name} line {r} {column}: fixture {a}, got {b}")
-    return bad
 
 
 @pytest.mark.parametrize("run", sorted(MANIFEST["runs"]))
@@ -87,48 +32,65 @@ def test_outputs_match_golden(run, tmp_path, capsys):
             f"golden fixtures were written with numpy {MANIFEST['numpy']}, this is "
             f"numpy {np.__version__}: regenerate them with tests/golden/regen.py"
         )
-    run_dir = GOLDEN / run
     regen.run(MANIFEST["runs"][run], tmp_path)
     capsys.readouterr()
-    names = sorted(p.name for p in run_dir.glob("*.csv"))
-    assert names and names == sorted(p.name for p in tmp_path.glob("*.csv"))
-    bad = [line for name in names for line in _mismatches(run_dir, name, tmp_path)]
-    assert not bad, f"{len(bad)} values left the golden tolerance:\n" + "\n".join(bad[:10])
+    _, _, broken = regen.compare(GOLDEN / run, tmp_path)
+    assert not broken, regen.report(broken)
 
 
-def test_regen_diff_reports_the_largest_relative_change(tmp_path):
-    # the figure ``regen.py --diff`` prints: 0 for equal CSVs, the largest
-    # relative change of a float value otherwise, inf if a file's shape moved
-    run_dir = GOLDEN / "gaussianity"
-    shutil.copy(run_dir / "stats.csv", tmp_path / "stats.csv")
-    assert regen.largest_change(run_dir, tmp_path) == (0.0, "every float value equal")
-    header, (row,) = _read(run_dir / "stats.csv")
-    values = [float(v) for v in row]
-    values[1] *= 1 + 1e-6
-    (tmp_path / "stats.csv").write_text(",".join(header) + "\n" + ",".join(map(repr, values)) + "\n")
-    change, where = regen.largest_change(run_dir, tmp_path)
-    assert change == pytest.approx(1e-6, rel=1e-6) and where == f"stats.csv line 2 {header[1]}"
-    (tmp_path / "stats.csv").write_text(",".join(header) + "\n")
-    assert regen.largest_change(run_dir, tmp_path)[0] == math.inf
+def _edit(directory, path, line, column, text):
+    """Set one value of a CSV under ``directory`` to ``text``, or drop its
+    line if ``column`` is None."""
+    rows = regen._read(directory / path)
+    if column is None:
+        del rows[line - 1]
+    else:
+        rows[line - 1][rows[0].index(column)] = text
+    with open(directory / path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
-@pytest.mark.parametrize(
-    "scale, rows, code",
-    [(1.0, 1, 0), (1 + 1e-10, 1, 0), (1 + 1e-8, 1, 1), (1.0, 0, 1)],
-)
-def test_regen_diff_exit_code(scale, rows, code, monkeypatch, capsys):
-    # ``regen.py --diff`` exits 1 when a fixture's change is above RTOL or
-    # inf (a row gone), else 0.  Its reruns here copy the fixtures, with
-    # gaussianity's sigma_q_sq scaled, instead of running the experiments.
-    def rerun(args, out_dir):
-        name = next(key for key, value in regen.RUNS.items() if value == args)
-        shutil.copytree(GOLDEN / name, out_dir)
-        if name == "gaussianity":
-            header, (row,) = _read(out_dir / "stats.csv")
-            values = [float(row[0]) * scale] + [float(v) for v in row[1:]]
-            lines = [",".join(header)] + [",".join(map(repr, values))] * rows
-            (out_dir / "stats.csv").write_text("\n".join(lines) + "\n")
+SUMMARY, TRAJECTORY = "simulate/summary.csv", "simulate/trajectory.csv"
+STATS = "gaussianity/stats.csv"
+SIGMA = float(regen._read(GOLDEN / STATS)[1][0])  # sigma_q_sq
+# trial 0 of the simulate fixture crosses at iteration 350, on trajectory line
+# 16; setting its blind SINR there to the MF-perfect level makes it marginal
+MARGINAL = (TRAJECTORY, 16, "sinr_blind_db", "15.1397262755")
 
-    monkeypatch.setattr(regen, "run", rerun)
-    assert regen.main(["--diff"]) == code
-    assert capsys.readouterr().out.count("largest relative change") == len(regen.RUNS)
+# edits to the rerun, the largest relative change, and whether a value
+# breaks the golden rule; trial 1 crosses at iteration 275, not marginally
+CASES = {
+    "unchanged": ([], 0.0, False),
+    "float * (1 + 1e-10)": ([(STATS, 2, "sigma_q_sq", repr(SIGMA * (1 + 1e-10)))], 1e-10, False),
+    "float * (1 + 1e-8)": ([(STATS, 2, "sigma_q_sq", repr(SIGMA * (1 + 1e-8)))], 1e-8, True),
+    "row dropped": ([(STATS, 2, None, None)], math.inf, True),
+    "iteration changed": ([(TRAJECTORY, 3, "iteration", "26")], 0.0, True),
+    "crossing moved": ([(SUMMARY, 3, "cross_iteration", "1275")], 0.0, True),
+    "marginal crossing moved": ([(SUMMARY, 2, "cross_iteration", "375")], 0.0, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_compare_and_diff_judge_alike(case, tmp_path, monkeypatch, capsys):
+    # ``compare`` and ``regen.py --diff`` on copies of the fixtures, with
+    # trial 0's crossing made marginal in both: --diff exits 1 exactly when
+    # a value breaks the rule, and prints each fixture's figure
+    edits, change, breaks = CASES[case]
+    golden, out = tmp_path / "golden", tmp_path / "out"
+    for name in regen.RUNS:
+        shutil.copytree(GOLDEN / name, golden / name)
+    _edit(golden, *MARGINAL)
+    shutil.copytree(golden, out)
+    for edit in edits:
+        _edit(out, *edit)
+    judged = [regen.compare(golden / name, out / name) for name in regen.RUNS]
+    assert any(broken for _, _, broken in judged) == breaks
+    assert max(worst for worst, _, _ in judged) == pytest.approx(change, rel=1e-3)
+
+    monkeypatch.setattr(regen, "HERE", golden)
+    # --diff reruns each fixture into a directory named after it
+    monkeypatch.setattr(regen, "run", lambda args, to: shutil.copytree(out / to.name, to))
+    assert regen.main(["--diff"]) == int(breaks)
+    printed = capsys.readouterr().out
+    assert printed.count("largest relative change") == len(regen.RUNS)
+    assert ("break the golden rule" in printed) == breaks

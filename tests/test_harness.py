@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -463,8 +464,13 @@ def test_eye_bucket_bounds_are_exact(tmp_path):
 def test_run_eye_rejects_empty_buckets():
     cfg = tiny_config()
     cfg.eye.num_buckets = 500
-    cfg.eye.updates = 100
-    with pytest.raises(ValueError):
+    cfg.eye.updates = 99
+    # 99 updates round up to two 50-vector packets, 100 decisions
+    message = (
+        "eye.updates, rounded up to whole packets of blind.packet_len = 50, "
+        "must be >= eye.num_buckets = 500 (got 100)"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
         harness.run_eye(cfg, "unused")
 
 
