@@ -569,7 +569,6 @@ def run_eye(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     total = passes * config.blind.packet_len
     num_buckets = config.eye.num_buckets
     if total < num_buckets:
-        # each bucket needs at least one decision
         raise ValueError(
             f"eye.updates, rounded up to whole packets of blind.packet_len = "
             f"{config.blind.packet_len}, must be >= eye.num_buckets = {num_buckets} "

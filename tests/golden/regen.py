@@ -1,23 +1,18 @@
 """Rewrite the golden CSV fixtures that ``tests/test_golden.py`` compares against.
 
-Run from the repository root:
+    PYTHONPATH=src python tests/golden/regen.py [--diff]
 
-    PYTHONPATH=src python tests/golden/regen.py
+run from the repository root, sends every run in ``RUNS`` through the CLI
+in-process and writes its CSVs to ``tests/golden/<name>/``.  ``manifest.json``
+records the runs' CLI arguments, the numpy version and the commit the fixtures
+came from; the test reruns exactly those arguments.  A change that regenerates
+the fixtures says so and quotes the largest relative change it made.
 
-Every run in ``RUNS`` goes through the CLI in-process and writes its CSVs
-to ``tests/golden/<name>/``.  ``manifest.json`` records the runs' CLI
-arguments, the numpy version and the commit the fixtures came from; the
-test reruns exactly those arguments.  A change that regenerates the
-fixtures says so and quotes the largest relative change it made.
-
-    PYTHONPATH=src python tests/golden/regen.py --diff
-
-reruns ``RUNS`` into a temporary directory instead and judges each
-rerun against the committed CSVs with ``compare``, the golden rule that
-``tests/test_golden.py`` enforces too.  For each fixture it prints the
-largest relative change of any float value and, if values break the
-rule, how many and the first ten.  It writes nothing under
-``tests/golden/``, and exits 1 if any value breaks the rule, else 0.
+With ``--diff`` it reruns ``RUNS`` into a temporary directory instead, writes
+nothing under ``tests/golden/`` and judges each rerun with ``compare``, the
+golden rule that ``tests/test_golden.py`` enforces too.  It prints each
+fixture's largest relative float change and the values that break the rule,
+and exits 1 if any value does, else 0.
 """
 
 from __future__ import annotations
@@ -146,8 +141,7 @@ def report(broken: list[str]) -> str:
 
 
 def diff() -> int:
-    """Rerun every fixture into a temporary directory and judge it with
-    ``compare``; returns 1 if any value breaks the golden rule, else 0."""
+    """Judge a rerun of every fixture with ``compare``: 1 if a value breaks the rule, else 0."""
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         for name, args in RUNS.items():
@@ -173,9 +167,7 @@ def _commit() -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Rewrite or compare the golden CSV fixtures.")
     parser.add_argument(
-        "--diff",
-        action="store_true",
-        help="judge a fresh rerun of each fixture by the golden rule; write nothing",
+        "--diff", action="store_true", help="judge a rerun by the golden rule; write nothing"
     )
     if parser.parse_args(argv).diff:
         return diff()

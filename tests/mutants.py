@@ -257,6 +257,13 @@ MUTANTS = [
         "return True",
         ("tests/test_golden.py::test_compare_and_diff_judge_alike",),
     ),
+    Mutant(
+        "golden rule reports the largest change one line early",
+        "tests/golden/regen.py",
+        "zip(golden[1:], got[1:]), start=2)",
+        "zip(golden[1:], got[1:]), start=1)",
+        ("tests/test_golden.py::test_compare_and_diff_judge_alike",),
+    ),
 ]
 
 # each comparison in validate_config's bounds that no other test pins,

@@ -26,21 +26,19 @@ _spec.loader.exec_module(regen)
 
 
 @pytest.mark.parametrize("run", sorted(MANIFEST["runs"]))
-def test_outputs_match_golden(run, tmp_path, capsys):
+def test_outputs_match_golden(run, tmp_path):
     if MANIFEST["numpy"] != np.__version__:
         pytest.fail(
             f"golden fixtures were written with numpy {MANIFEST['numpy']}, this is "
             f"numpy {np.__version__}: regenerate them with tests/golden/regen.py"
         )
     regen.run(MANIFEST["runs"][run], tmp_path)
-    capsys.readouterr()
     _, _, broken = regen.compare(GOLDEN / run, tmp_path)
     assert not broken, regen.report(broken)
 
 
 def _edit(directory, path, line, column, text):
-    """Set one value of a CSV under ``directory`` to ``text``, or drop its
-    line if ``column`` is None."""
+    """Set one CSV value under ``directory`` to ``text``; drop its line if ``column`` is None."""
     rows = regen._read(directory / path)
     if column is None:
         del rows[line - 1]
@@ -57,25 +55,33 @@ SIGMA = float(regen._read(GOLDEN / STATS)[1][0])  # sigma_q_sq
 # 16; setting its blind SINR there to the MF-perfect level makes it marginal
 MARGINAL = (TRAJECTORY, 16, "sinr_blind_db", "15.1397262755")
 
-# edits to the rerun, the largest relative change, and whether a value
-# breaks the golden rule; trial 1 crosses at iteration 275, not marginally
+
+def _scaled(factor):
+    """An edit scaling sigma_q_sq by ``factor``, and its relative change as written."""
+    value = SIGMA * factor
+    return [(STATS, 2, "sigma_q_sq", repr(value))], abs(value - SIGMA) / SIGMA
+
+
+EQUAL, AT_SIGMA, RESHAPED = ("every float value equal", "stats.csv line 2 sigma_q_sq",
+                             "stats.csv: header or row count changed")
+# edits to the rerun, the largest relative change and where it is, and whether
+# a value breaks the golden rule; trial 1 crosses at iteration 275, not marginally
 CASES = {
-    "unchanged": ([], 0.0, False),
-    "float * (1 + 1e-10)": ([(STATS, 2, "sigma_q_sq", repr(SIGMA * (1 + 1e-10)))], 1e-10, False),
-    "float * (1 + 1e-8)": ([(STATS, 2, "sigma_q_sq", repr(SIGMA * (1 + 1e-8)))], 1e-8, True),
-    "row dropped": ([(STATS, 2, None, None)], math.inf, True),
-    "iteration changed": ([(TRAJECTORY, 3, "iteration", "26")], 0.0, True),
-    "crossing moved": ([(SUMMARY, 3, "cross_iteration", "1275")], 0.0, True),
-    "marginal crossing moved": ([(SUMMARY, 2, "cross_iteration", "375")], 0.0, False),
+    "unchanged": ([], 0.0, EQUAL, False),
+    "float * (1 + 1e-10)": (*_scaled(1 + 1e-10), AT_SIGMA, False),
+    "float * (1 + 1e-8)": (*_scaled(1 + 1e-8), AT_SIGMA, True),
+    "row dropped": ([(STATS, 2, None, None)], math.inf, RESHAPED, True),
+    "iteration changed": ([(TRAJECTORY, 3, "iteration", "26")], 0.0, EQUAL, True),
+    "crossing moved": ([(SUMMARY, 3, "cross_iteration", "1275")], 0.0, EQUAL, True),
+    "marginal crossing moved": ([(SUMMARY, 2, "cross_iteration", "375")], 0.0, EQUAL, False),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_compare_and_diff_judge_alike(case, tmp_path, monkeypatch, capsys):
-    # ``compare`` and ``regen.py --diff`` on copies of the fixtures, with
-    # trial 0's crossing made marginal in both: --diff exits 1 exactly when
-    # a value breaks the rule, and prints each fixture's figure
-    edits, change, breaks = CASES[case]
+    # ``compare`` and ``regen.py --diff`` on fixture copies with trial 0's crossing made
+    # marginal: --diff exits 1 exactly when a value breaks the rule, and prints each figure
+    edits, change, where, breaks = CASES[case]
     golden, out = tmp_path / "golden", tmp_path / "out"
     for name in regen.RUNS:
         shutil.copytree(GOLDEN / name, golden / name)
@@ -83,9 +89,10 @@ def test_compare_and_diff_judge_alike(case, tmp_path, monkeypatch, capsys):
     shutil.copytree(golden, out)
     for edit in edits:
         _edit(out, *edit)
-    judged = [regen.compare(golden / name, out / name) for name in regen.RUNS]
-    assert any(broken for _, _, broken in judged) == breaks
-    assert max(worst for worst, _, _ in judged) == pytest.approx(change, rel=1e-3)
+    judged = {name: regen.compare(golden / name, out / name) for name in regen.RUNS}
+    worst, at, _ = max(judged.values(), key=lambda judgement: judgement[0])
+    assert (worst, at) == (pytest.approx(change, rel=1e-6), where)
+    assert any(broken for _, _, broken in judged.values()) == breaks
 
     monkeypatch.setattr(regen, "HERE", golden)
     # --diff reruns each fixture into a directory named after it
@@ -93,4 +100,5 @@ def test_compare_and_diff_judge_alike(case, tmp_path, monkeypatch, capsys):
     assert regen.main(["--diff"]) == int(breaks)
     printed = capsys.readouterr().out
     assert printed.count("largest relative change") == len(regen.RUNS)
+    assert f"({where})" in printed
     assert ("break the golden rule" in printed) == breaks
