@@ -62,11 +62,10 @@ class PowerDelayProfile:
         return self.tap_delays.size
 
 
-# COST 207 typical-urban reduced 6-tap profile (delays us, powers dB).
-COST207_TU6 = PowerDelayProfile.from_db(
-    delays_us=(0.0, 0.2, 0.5, 1.6, 2.3, 5.0),
-    powers_db=(-3.0, 0.0, -2.0, -6.0, -8.0, -10.0),
-)
+# COST 207 typical-urban reduced 6-tap profile, also the config's default
+TU6_DELAYS_US = (0.0, 0.2, 0.5, 1.6, 2.3, 5.0)
+TU6_POWERS_DB = (-3.0, 0.0, -2.0, -6.0, -8.0, -10.0)
+COST207_TU6 = PowerDelayProfile.from_db(TU6_DELAYS_US, TU6_POWERS_DB)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import yaml
 
 from . import topology
 from .blind import PamAlphabet
-from .channel import PowerDelayProfile
+from .channel import TU6_DELAYS_US, TU6_POWERS_DB, PowerDelayProfile
 from .cmt import CmtConfig
 
 
@@ -48,8 +48,8 @@ class ChannelSection:
     num_subcarriers: int = 256
     num_antennas: int = 128
     subcarrier_index: int = 64
-    pdp_delays_us: list = field(default_factory=lambda: [0.0, 0.2, 0.5, 1.6, 2.3, 5.0])
-    pdp_powers_db: list = field(default_factory=lambda: [-3.0, 0.0, -2.0, -6.0, -8.0, -10.0])
+    pdp_delays_us: list = field(default_factory=lambda: list(TU6_DELAYS_US))
+    pdp_powers_db: list = field(default_factory=lambda: list(TU6_POWERS_DB))
 
 
 @dataclass
@@ -292,7 +292,8 @@ def load_config(path: str | None = None) -> ExperimentConfig:
     """Load a YAML config file; missing keys fall back to the defaults.
 
     ``path=None`` or an empty file yields the full default configuration.
-    Unknown keys and type mismatches raise with the offending dotted path.
+    Unknown keys and type mismatches raise with the offending dotted path;
+    a file that cannot be read or parsed raises a ValueError naming it.
     """
     return validate_config(read_config(path))
 
@@ -302,12 +303,17 @@ def read_config(path: str | None = None) -> ExperimentConfig:
     the file consistent before ``validate_config`` runs once."""
     config = ExperimentConfig()
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = yaml.safe_load(fh)
+        except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+            # yaml's message spans lines; joined, it still gives the position
+            detail = exc.strerror if isinstance(exc, OSError) else " ".join(str(exc).split())
+            raise ValueError(f"config file {path}: {detail}") from None
         if data is None:
             data = {}
         if not isinstance(data, dict):
-            raise ValueError("config file must contain a mapping at top level")
+            raise ValueError(f"config file {path} must contain a mapping at top level")
         for key, value in data.items():
             _assign(config, str(key), value, str(key))
     return config

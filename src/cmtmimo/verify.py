@@ -2,10 +2,14 @@
 
 Each check is small enough to run on every commit; together they pin the
 identities and statistical properties the experiments rely on, through
-the same functions the experiments call.  The scenarios around those
-calls are the checks' own: ``blind.cost_descent``, for one, builds its
-own link model with a noiseless contaminated estimate rather than the
-scenario of ``harness.build_scenario``.  The unit tests run each check
+the same functions the experiments call.  The link checks (``airlink.*``,
+``combine.mmse_dominance``, ``combine.sinr_scale_invariance``,
+``harness.calibration``) draw their scenarios with ``harness.build_scenario``
+and their blocks with ``TrialScenario.draw_block``; ``mmse_dominance``
+scores ``harness.reference_weights``.  ``blind.cost_descent`` keeps its own
+model with a noiseless contaminated estimate, since on the experiments'
+scenario some trials lock onto a mixture of cells and the median
+trajectory is not monotone at every seed.  The unit tests run each check
 as its own item; acceptance criteria 1, 2 and 8 re-check four of them
 (MF identity, direct/correlate agreement, gradient at N = 8, determinism).
 The CLI ``verify`` subcommand prints one row per check with wall-clock
@@ -14,6 +18,7 @@ time and exits nonzero on any failure.
 
 from __future__ import annotations
 
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import airlink, blind, channel, cmt, combine, harness, topology
+from .config import load_config
 
 
 @dataclass(frozen=True)
@@ -128,15 +134,28 @@ def _check_cmt_gaussianity(seed):
     )
 
 
-def _small_scenario(seed, m=3, k=2, n=16):
+def _small_config():
+    """The default config cut to 3 cells of 2 users, gains on [0.2, 0.9], N = 16."""
+    cfg = load_config(None)
+    cfg.topology.num_cells = 3
+    cfg.topology.users_per_cell = 2
+    cfg.topology.gain_low = 0.2
+    cfg.topology.gain_high = 0.9
+    cfg.channel.num_antennas = 16
+    return cfg
+
+
+def _scenario(cfg, seed):
+    """``harness.build_scenario`` on ``default_rng(seed)``, at the sigma_q
+    and noise variance the experiments resolve from ``cfg``."""
+    sigma_q = float(np.sqrt(harness.resolve_sigma_q_sq(cfg)))
     rng = np.random.default_rng(seed)
-    topo = topology.build_topology(m, k, 0.2, 0.9, rng)
-    real = channel.draw_channels(topo, channel.COST207_TU6, n, rng)
-    return topo, channel.matrix_stack(real, 10), rng
+    return harness.build_scenario(cfg, rng, sigma_q, harness.calibrate_noise(cfg))
 
 
 def _check_airlink_mode_equivalence(seed):
-    topo, stack, _ = _small_scenario(seed)
+    scen = _scenario(_small_config(), seed)
+    topo, stack = scen.topo, scen.h_stack
     tau = 4
     direct = airlink.estimate_channels_direct(
         topo, stack, 0, 0.0, tau, np.random.default_rng(0)
@@ -151,7 +170,8 @@ def _check_airlink_mode_equivalence(seed):
 
 
 def _check_airlink_linearity(seed):
-    topo, stack, rng = _small_scenario(seed)
+    scen = _scenario(_small_config(), seed)
+    topo, stack, rng = scen.topo, scen.h_stack, scen.rng
     shape = (3, 2, 8)  # (cells, users, symbol times)
     t1 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     t2 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -167,7 +187,7 @@ def _check_airlink_linearity(seed):
 
 
 def _check_airlink_contamination_monotonic(seed):
-    _, stack, _ = _small_scenario(seed)
+    stack = _scenario(_small_config(), seed).h_stack
     h_own = stack[0, 0]
     norms = []
     for a in np.linspace(0.0, 1.0, 6):
@@ -204,37 +224,23 @@ def _check_combine_q_immunity(seed):
 
 
 def _check_combine_mmse_dominance(seed):
+    cfg = _small_config()
     worst = np.inf
     for i in range(10):
-        topo, stack, rng = _small_scenario(seed + i, m=3, k=1, n=32)
-        sigma_v = 0.05
-        et2 = 2.0
-
-        def gen(n):
-            s = rng.choice([-1.0, 1.0], size=(3, 1, n))
-            t = s + 1j * rng.standard_normal((3, 1, n))
-            x = airlink.uplink_batch(topo, stack, 0, t, sigma_v, rng)
-            return x, s[0, 0]
-
-        h = stack[0, 0][:, 0]
-        w_mf = combine.mf_weights(h)
-        w_mmse = combine.mmse_weights(stack[:, 0], topo.gains_at(0), 0, sigma_v, et2)[0]
-        x_block, s_block = gen(20000)
-        mf = harness.probe_sinrs(w_mf[None], x_block, s_block)[0]
-        mm = harness.probe_sinrs(w_mmse[None], x_block, s_block)[0]
+        scen = _scenario(cfg, seed + i)
+        x_block, s_block = scen.draw_block(20000)
+        mf, mm, _ = harness.probe_sinrs(harness.reference_weights(scen, cfg), x_block, s_block)
         worst = min(worst, mm - mf)
     assert worst >= -0.1, f"MMSE below MF by {-worst:.2f} dB"
     return f"min(MMSE - MF) = {worst:.2f} dB over 10 realizations"
 
 
 def _check_combine_scale_invariance(seed):
-    topo, stack, rng = _small_scenario(seed, m=3, k=1, n=16)
-    s = rng.choice([-1.0, 1.0], size=(3, 1, 5000))
-    t = s + 1j * rng.standard_normal((3, 1, 5000))
-    x = airlink.uplink_batch(topo, stack, 0, t, 0.1, rng)
-    w = combine.mf_weights(stack[0, 0][:, 0])
-    a = harness.probe_sinrs(w[None], x, s[0, 0])[0]
-    worst = max(abs(harness.probe_sinrs(c * w[None], x, s[0, 0])[0] - a) for c in (7.3, -3.7))
+    scen = _scenario(_small_config(), seed)
+    x, s = scen.draw_block(5000)
+    w = combine.mf_weights(scen.h_desired)
+    a = harness.probe_sinrs(w[None], x, s)[0]
+    worst = max(abs(harness.probe_sinrs(c * w[None], x, s)[0] - a) for c in (7.3, -3.7))
     assert worst < 1e-9, f"scale changed SINR by {worst:.2e} dB"
     return f"scaling w by 7.3 and -3.7 leaves SINR unchanged ({worst:.1e} dB)"
 
@@ -343,10 +349,6 @@ def _check_blind_cost_descent(seed):
 
 
 def _check_harness_determinism(seed):
-    import tempfile
-
-    from .config import load_config
-
     cfg = load_config(None)
     cfg.channel.num_antennas = 8
     cfg.channel.num_subcarriers = 16
@@ -370,26 +372,18 @@ def _check_harness_determinism(seed):
 
 
 def _check_harness_calibration(seed):
-    from .config import load_config
-
     cfg = load_config(None)
     cfg.channel.num_antennas = 32
     cfg.topology.num_cells = 1
-    cfg.signaling.sigma_q_sq = 1.0
     sigma_v = harness.calibrate_noise(cfg)
-    rng = np.random.default_rng(seed)
     errors = []
-    for _ in range(20):
-        topo = topology.build_topology(1, 1, 0.0, 1.0, rng)
-        real = channel.draw_channels(topo, channel.COST207_TU6, 32, rng)
-        stack = channel.matrix_stack(real, 5)
-        h = stack[0, 0][:, 0]
+    for i in range(20):
+        scen = _scenario(cfg, [seed, i])
+        h = scen.h_desired
         # single user, perfect CSI: closed-form MF SINR is 2 ||h||^2 E[s^2]/sigma_v^2
         closed = 10 * np.log10(2 * np.real(np.vdot(h, h)) / sigma_v)
-        s = rng.choice([-1.0, 1.0], size=(1, 1, 5000))
-        t = s + 1j * rng.standard_normal((1, 1, 5000))
-        x = airlink.uplink_batch(topo, stack, 0, t, sigma_v, rng)
-        measured = harness.probe_sinrs(combine.mf_weights(h)[None], x, s[0, 0])[0]
+        x, s = scen.draw_block(5000)
+        measured = harness.probe_sinrs(combine.mf_weights(h)[None], x, s)[0]
         errors.append(measured - closed)
     worst = np.max(np.abs(errors))
     bias = np.mean(errors)

@@ -244,6 +244,20 @@ MUTANTS = [
         ("tests/test_topology.py::test_explicit_topology_validates_invariants",),
     ),
     Mutant(
+        "received blocks carry twice the calibrated noise",
+        "src/cmtmimo/harness.py",
+        "uplink_batch(topo, self.h_stack, 0, t, self.sigma_v_sq, self.rng)",
+        "uplink_batch(topo, self.h_stack, 0, t, 2 * self.sigma_v_sq, self.rng)",
+        ("tests/test_verify.py::test_check[harness.calibration]",),
+    ),
+    Mutant(
+        "MMSE reference is the contaminated MF",
+        "src/cmtmimo/harness.py",
+        "np.stack([w_mf, w_mmse, w_contam])",
+        "np.stack([w_mf, w_contam, w_contam])",
+        ("tests/test_verify.py::test_check[combine.mmse_dominance]",),
+    ),
+    Mutant(
         "golden rule skips the iteration column",
         "tests/golden/regen.py",
         "ok = int(a) == int(b)\n",

@@ -397,6 +397,30 @@ def test_nonfinite_packet_names_its_trial(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+BAD_FILES = [
+    # how to make the file, and how its error line ends
+    pytest.param(lambda path: None, "No such file or directory", id="missing"),
+    pytest.param(lambda path: path.mkdir(), "Is a directory", id="directory"),
+    pytest.param(lambda path: path.write_text("a: [1,"), "line 1, column 7", id="unparsable"),
+    pytest.param(lambda path: path.write_text("- 1\n- 2\n"), "mapping at top level", id="list"),
+    pytest.param(lambda path: path.write_bytes(b"\xff\xfe"), "can't decode byte", id="not-utf-8"),
+]
+
+
+@pytest.mark.parametrize("make, ending", BAD_FILES)
+def test_bad_config_file_exits_two_naming_it(tmp_path, capsys, monkeypatch, make, ending):
+    # a config file that cannot be read or parsed ends the run with one
+    # line naming the file, exit 2, and no traceback
+    monkeypatch.setattr(verify, "run_verify", lambda seed: pytest.fail("verify ran"))
+    path = tmp_path / "exp.yaml"
+    make(path)
+    assert cli.main(["verify", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cmtmimo: error: config file {path}")
+    assert ending in err
+    assert err.count("\n") == 1
+
+
 def test_flag_overrides_apply_after_file(tmp_path):
     cfg_path = tmp_path / "exp.yaml"
     cfg_path.write_text("run:\n  master_seed: 1\n  num_trials: 9\n")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cmtmimo import combine, verify
+from cmtmimo import combine, harness, verify
 from cmtmimo.config import load_config
 
 SEED = load_config(None).run.master_seed  # the seed `cmtmimo verify` uses by default
@@ -24,6 +24,36 @@ def test_suite_catches_a_planted_normalization_bug(monkeypatch):
     monkeypatch.setattr(combine, "mf_weights", broken)
     with pytest.raises(AssertionError, match=r"w\^H h"):
         dict(verify._CHECKS)["combine.mf_identity"](SEED)
+
+
+def test_suite_catches_a_planted_noise_bug(monkeypatch):
+    # the experiments' block drawing adds a second noise draw of the same
+    # variance: the calibration's closed form must no longer match
+    draw = harness.TrialScenario.draw_block
+
+    def noisier(scen, num_symbols):
+        x, s = draw(scen, num_symbols)
+        scale = np.sqrt(scen.sigma_v_sq / 2)
+        noise = scen.rng.standard_normal(x.shape) + 1j * scen.rng.standard_normal(x.shape)
+        return x + scale * noise, s
+
+    monkeypatch.setattr(harness.TrialScenario, "draw_block", noisier)
+    with pytest.raises(AssertionError, match="closed-form mismatch"):
+        dict(verify._CHECKS)["harness.calibration"](SEED)
+
+
+def test_suite_catches_a_planted_reference_bug(monkeypatch):
+    # the experiments' MMSE reference replaced by the contaminated MF
+    # must fall below the perfect-CSI MF
+    reference = harness.reference_weights
+
+    def contaminated_mmse(scen, config):
+        w_mf, _, w_contam = reference(scen, config)
+        return np.stack([w_mf, w_contam, w_contam])
+
+    monkeypatch.setattr(harness, "reference_weights", contaminated_mmse)
+    with pytest.raises(AssertionError, match="MMSE below MF"):
+        dict(verify._CHECKS)["combine.mmse_dominance"](SEED)
 
 
 def test_report_formatting_marks_failures():
