@@ -68,87 +68,51 @@ TU6_POWERS_DB = (-3.0, 0.0, -2.0, -6.0, -8.0, -10.0)
 COST207_TU6 = PowerDelayProfile.from_db(TU6_DELAYS_US, TU6_POWERS_DB)
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One quasi-static draw of every link's multipath taps.
-
-    Attributes
-    ----------
-    taps : ndarray, shape (M, M, K, N, T), complex
-        ``taps[m, j, l, a, t]``: tap t of the link from user l of cell m
-        to antenna a of BS j.
-    pdp : PowerDelayProfile
-        The profile the taps were drawn from (delays are reused by
-        frequency-response evaluation).
-    sample_rate : float
-        Total bandwidth in Hz; subcarrier k sits at k * sample_rate / L.
-    num_subcarriers : int
-    """
-
-    taps: np.ndarray
-    pdp: PowerDelayProfile
-    sample_rate: float
-    num_subcarriers: int
-
-    def __post_init__(self) -> None:
-        if self.taps.ndim != 5:
-            raise ValueError("taps must have shape (M, M, K, N, T)")
-        if self.taps.shape[4] != self.pdp.num_taps:
-            raise ValueError("tap axis inconsistent with the profile")
-        if self.sample_rate <= 0.0:
-            raise ValueError("sample_rate must be positive")
-        if self.num_subcarriers < 1:
-            raise ValueError("num_subcarriers must be >= 1")
-
-
 def draw_channels(
     topology: CellTopology,
     pdp: PowerDelayProfile,
     num_antennas: int,
     rng: np.random.Generator,
-    sample_rate: float = 5e6,
-    num_subcarriers: int = 256,
-) -> ChannelRealization:
+) -> np.ndarray:
     """Draw i.i.d. Rayleigh taps for every link of the topology.
 
-    Tap t of every (m, j, l, a) link is circularly-symmetric complex
-    Gaussian with variance ``pdp.tap_powers[t]``, independent across all
-    indices (uncorrelated array, uncorrelated links).
+    Returns the (M, M, K, N, T) complex taps: ``taps[m, j, l, a, t]`` is
+    tap t of the link from user l of cell m to antenna a of BS j.  Every
+    tap is circularly-symmetric complex Gaussian with variance
+    ``pdp.tap_powers[t]``, independent across all indices (uncorrelated
+    array, uncorrelated links).
     """
     if num_antennas < 1:
         raise ValueError("num_antennas must be >= 1")
     m, k, t = topology.num_cells, topology.users_per_cell, pdp.num_taps
     shape = (m, m, k, num_antennas, t)
     scale = np.sqrt(pdp.tap_powers / 2.0)
-    taps = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return ChannelRealization(
-        taps=taps,
-        pdp=pdp,
-        sample_rate=sample_rate,
-        num_subcarriers=num_subcarriers,
-    )
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def matrix_stack(realization: ChannelRealization, subcarrier_index: int) -> np.ndarray:
+def matrix_stack(
+    taps: np.ndarray,
+    pdp: PowerDelayProfile,
+    subcarrier_index: int,
+    sample_rate: float = 5e6,
+    num_subcarriers: int = 256,
+) -> np.ndarray:
     """All channel matrices at one subcarrier, shape (M, M, N, K).
 
-    ``stack[m, j]`` is the channel matrix H_mj from cell m's users to BS j:
-    column l holds the discrete frequency response
+    ``taps`` are ``draw_channels``' (M, M, K, N, T) taps, drawn from
+    ``pdp``.  ``stack[m, j]`` is the channel matrix H_mj from cell m's
+    users to BS j: column l holds the discrete frequency response
 
         H(f_k) = sum_t g_t exp(-2i pi f_k tau_t),  f_k = k * sample_rate / L,
 
-    of the taps g of user l of cell m at every antenna of BS j.
+    of the taps g of user l of cell m at every antenna of BS j, where
+    ``sample_rate`` is the total bandwidth in Hz and L ``num_subcarriers``.
     """
-    if not 0 <= subcarrier_index < realization.num_subcarriers:
-        raise ValueError(
-            f"subcarrier_index {subcarrier_index} outside "
-            f"[0, {realization.num_subcarriers})"
-        )
-    phase = np.exp(
-        -2j
-        * np.pi
-        * (subcarrier_index * realization.sample_rate / realization.num_subcarriers)
-        * realization.pdp.tap_delays
-    )
-    h = realization.taps @ phase  # (M, M, K, N)
+    if not 0 <= subcarrier_index < num_subcarriers:
+        raise ValueError(f"subcarrier_index {subcarrier_index} outside [0, {num_subcarriers})")
+    if not sample_rate > 0.0:
+        raise ValueError(f"sample_rate must be positive (got {sample_rate})")
+    f_k = subcarrier_index * sample_rate / num_subcarriers
+    phase = np.exp(-2j * np.pi * f_k * pdp.tap_delays)
+    h = taps @ phase  # (M, M, K, N)
     return np.swapaxes(h, 2, 3)

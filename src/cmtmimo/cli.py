@@ -15,9 +15,10 @@ and its overrides are validated together.
 work count and its seconds, summed over the worker processes.
 
 A bad config, a config the experiment rejects (for example a CMT loopback
-too short for its sample floor) or a diverging tracker ends the run with
-one ``cmtmimo: error: ...`` line on stderr and no CSV: exit code 2 for
-the config, 1 for the divergence.
+too short for its sample floor), a run too large for memory or a
+diverging tracker ends the run with one ``cmtmimo: error: ...`` line on
+stderr and no CSV: exit code 2 for the config and for memory, 1 for the
+divergence.
 """
 
 from __future__ import annotations
@@ -81,6 +82,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"cmtmimo: error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"cmtmimo: error: the run does not fit in memory: {exc}", file=sys.stderr)
+        return 2
     except FloatingPointError as exc:
         print(f"cmtmimo: error: {exc}", file=sys.stderr)
         return 1
@@ -101,8 +105,7 @@ def _run(command: str, config) -> int:
         result = harness.run_fig3(config)
         print(f"wrote {result['trajectory_csv']}")
         print(f"wrote {result['summary_csv']}")
-        trajectories = [t["trajectory"] for t in result["trials"]]
-        finals = [trajectory[-1][1] for trajectory in trajectories]
+        finals = result["sinrs"][:, -1].tolist()
         print(
             f"{len(finals)} trials, final blind SINR "
             f"median {statistics.median(finals):.2f} dB"

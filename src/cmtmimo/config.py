@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import typing
 from dataclasses import dataclass, field
 
@@ -141,6 +142,19 @@ class ExperimentConfig:
         if self.topology.explicit_gains is None:
             return None
         return topology.explicit_topology(self.topology.explicit_gains)
+
+
+class _Loader(yaml.SafeLoader):
+    """YAML 1.1's safe loader, plus the floats of YAML 1.2 with an exponent
+    that YAML 1.1 reads as strings: ``1e-3``, ``5e6``, ``-2E+4``, ``1.5e3``.
+    Config files and overrides both parse with it."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9][0-9_]*(?:\.[0-9_]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
 
 
 # the YAML values each annotated leaf type takes, and how its error names the type
@@ -305,7 +319,7 @@ def read_config(path: str | None = None) -> ExperimentConfig:
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                data = yaml.safe_load(fh)
+                data = yaml.load(fh, Loader=_Loader)
         except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
             # yaml's message spans lines; joined, it still gives the position
             detail = exc.strerror if isinstance(exc, OSError) else " ".join(str(exc).split())
@@ -334,7 +348,7 @@ def assign_override(config: ExperimentConfig, spec: str) -> ExperimentConfig:
     if not all(parts):
         raise ValueError(f"override '{spec}' has an empty path component")
     # a.b.c=v is the YAML mapping {a: {b: {c: v}}}
-    value = yaml.safe_load(raw)
+    value = yaml.load(raw, Loader=_Loader)
     for part in reversed(parts[1:]):
         value = {part: value}
     _assign(config, parts[0], value, parts[0])

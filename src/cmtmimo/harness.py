@@ -100,7 +100,8 @@ def calibrate_noise(config: ExperimentConfig) -> float:
         sigma_v_sq = 2 E[||h||^2] E[s^2] / 10^(target/10),
 
     with E[||h||^2] = N for the unit-energy profile.  A target of +inf
-    means noiseless operation.
+    means noiseless operation.  A finite target so far out that this
+    variance is not finite and positive raises, naming the key.
     """
     target = config.noise.target_sinr_db
     if not (np.isfinite(target) or target == np.inf):
@@ -108,7 +109,15 @@ def calibrate_noise(config: ExperimentConfig) -> float:
     if target == np.inf:
         return 0.0
     es = config.alphabet().second_moment
-    return 2.0 * float(config.channel.num_antennas) * es / 10.0 ** (target / 10.0)
+    try:
+        sigma_v_sq = 2.0 * float(config.channel.num_antennas) * es / 10.0 ** (target / 10.0)
+    except (OverflowError, ZeroDivisionError):  # 10^(target/10) leaves the float range
+        sigma_v_sq = np.nan
+    if not 0.0 < sigma_v_sq < np.inf:
+        raise ValueError(
+            f"noise.target_sinr_db must give a finite, positive noise variance (got {target!r})"
+        )
+    return sigma_v_sq
 
 
 def _intrinsic_stats(config: ExperimentConfig, min_samples: int) -> cmt.IntrinsicStats:
@@ -179,15 +188,11 @@ def build_scenario(
             topo_cfg.gain_high,
             rng,
         )
-    realization = channel.draw_channels(
-        topo,
-        config.pdp(),
-        config.channel.num_antennas,
-        rng,
-        sample_rate=config.channel.bandwidth_hz,
-        num_subcarriers=config.channel.num_subcarriers,
+    ch, pdp = config.channel, config.pdp()
+    taps = channel.draw_channels(topo, pdp, ch.num_antennas, rng)
+    h_stack = channel.matrix_stack(
+        taps, pdp, ch.subcarrier_index, ch.bandwidth_hz, ch.num_subcarriers
     )
-    h_stack = channel.matrix_stack(realization, config.channel.subcarrier_index)
     if config.pilot.estimator == "direct":
         h_hat = airlink.estimate_channels_direct(
             topo, h_stack, 0, sigma_v_sq, config.pilot.pilot_len, rng
@@ -466,8 +471,10 @@ def run_fig3(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     A noiseless config (``noise.target_sinr_db`` = inf) has no MMSE
     reference, so it fails before any trial runs.
 
-    Returns the output paths, the per-trial trajectories and the summed
-    ``stages``.
+    Returns the output paths, the probe schedule as ``iterations``, the
+    (num_trials, 3 + len(iterations)) ``sinrs`` (each trial's MF-perfect,
+    MMSE-perfect and MF-contaminated levels, then its blind SINR at each
+    iteration: trajectory.csv's values) and the summed ``stages``.
     """
     out_dir = _out_dir(config, out_dir)
     sigma_v_sq = calibrate_noise(config)
@@ -482,35 +489,29 @@ def run_fig3(config: ExperimentConfig, out_dir: str | None = None) -> dict:
     task = partial(_fig3_group, config, sigma_q=sigma_q, sigma_v_sq=sigma_v_sq, schedule=schedule)
     results = []
     stages = _run_groups(task, _trial_groups(config), results.append)
-    traj_rows = []
-    summary_rows = []
-    trajectories = []
-    for trial, sinrs in enumerate(np.vstack(results)):
-        level_mf, level_mmse, level_contam = sinrs[:3].tolist()
-        trajectory = list(zip(schedule, sinrs[3:].tolist()))
-        trajectories.append(
-            {
-                "trial": trial,
-                "trajectory": trajectory,
-                "mf": level_mf,
-                "mmse": level_mmse,
-                "contam": level_contam,
-            }
-        )
-        for iteration, sinr in trajectory:
-            traj_rows.append((trial, iteration, sinr, level_mf, level_mmse, level_contam))
-        crossing = next((it for it, v in trajectory if v >= level_mf), -1)
-        final = trajectory[-1][1]
-        summary_rows.append((trial, crossing, final, level_mmse - final))
+    sinrs = np.vstack(results)
+    rows = sinrs.tolist()
+    # the first probe whose blind SINR reaches the MF-perfect level, else -1
+    crossings = [next((it for it, v in zip(schedule, row[3:]) if v >= row[0]), -1) for row in rows]
 
     traj_path = os.path.join(out_dir, "trajectory.csv")
     summary_path = os.path.join(out_dir, "summary.csv")
-    _write_csv(traj_path, TRAJECTORY_HEADER, (TRAJECTORY_ROW % row for row in traj_rows))
-    _write_csv(summary_path, SUMMARY_HEADER, (SUMMARY_ROW % row for row in summary_rows))
+    traj_lines = (
+        TRAJECTORY_ROW % (trial, iteration, sinr, *row[:3])
+        for trial, row in enumerate(rows)
+        for iteration, sinr in zip(schedule, row[3:])
+    )
+    _write_csv(traj_path, TRAJECTORY_HEADER, traj_lines)
+    summary_lines = (
+        SUMMARY_ROW % (trial, crossing, row[-1], row[1] - row[-1])
+        for trial, (crossing, row) in enumerate(zip(crossings, rows))
+    )
+    _write_csv(summary_path, SUMMARY_HEADER, summary_lines)
     return {
         "trajectory_csv": traj_path,
         "summary_csv": summary_path,
-        "trials": trajectories,
+        "iterations": np.array(schedule),
+        "sinrs": sinrs,
         "stages": stages,
     }
 

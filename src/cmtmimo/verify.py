@@ -55,13 +55,13 @@ def _check_channel_parseval(seed):
         tap_powers=np.array([0.4, 0.3, 0.2, 0.1]),
     )
     topo = topology.build_topology(1, 1, 0.0, 1.0, np.random.default_rng(seed))
-    real = channel.draw_channels(topo, pdp, 4, np.random.default_rng(seed), bw, num_sub)
+    taps = channel.draw_channels(topo, pdp, 4, np.random.default_rng(seed))
     # delays on the sampling grid make the subcarrier responses a unitary DFT
     responses = np.stack(
-        [channel.matrix_stack(real, k)[0, 0][:, 0] for k in range(num_sub)]
+        [channel.matrix_stack(taps, pdp, k, bw, num_sub)[0, 0][:, 0] for k in range(num_sub)]
     )  # (subcarriers, 4 antennas)
     mean_power = np.mean(np.abs(responses) ** 2, axis=0)
-    energy = np.sum(np.abs(real.taps[0, 0, 0]) ** 2, axis=1)
+    energy = np.sum(np.abs(taps[0, 0, 0]) ** 2, axis=1)
     err = np.max(np.abs(mean_power - energy))
     assert err < 1e-12, f"Parseval mismatch {err:.2e}"
     return f"mismatch {err:.1e} at tap energies {energy.min():.2f}-{energy.max():.2f}"
@@ -70,8 +70,8 @@ def _check_channel_parseval(seed):
 def _check_channel_rayleigh(seed):
     pdp = channel.COST207_TU6
     topo = topology.build_topology(1, 1, 0.0, 1.0, np.random.default_rng(seed))
-    real = channel.draw_channels(topo, pdp, 20000, np.random.default_rng(seed))
-    taps = real.taps[0, 0, 0]  # (20000, 6)
+    # one link's taps, (20000 antennas, 6 taps)
+    taps = channel.draw_channels(topo, pdp, 20000, np.random.default_rng(seed))[0, 0, 0]
     energy = np.sum(np.abs(taps) ** 2, axis=1)
     assert abs(energy.mean() - 1.0) < 0.02, f"link energy {energy.mean():.4f}"
     mag_sq = np.abs(taps) ** 2
@@ -92,10 +92,8 @@ def _check_channel_antenna_independence(seed):
     pdp = channel.COST207_TU6
     topo = topology.build_topology(1, 1, 0.0, 1.0, np.random.default_rng(seed))
     draws = 30000
-    real = channel.draw_channels(
-        topo, pdp, 2 * draws, np.random.default_rng(seed), 5e6, 64
-    )
-    h = channel.matrix_stack(real, 16)[0, 0][:, 0]
+    taps = channel.draw_channels(topo, pdp, 2 * draws, np.random.default_rng(seed))
+    h = channel.matrix_stack(taps, pdp, 16, 5e6, 64)[0, 0][:, 0]
     h = h.reshape(draws, 2)  # antenna pairs, one draw each
     corr = np.abs(np.mean(h[:, 0] * np.conj(h[:, 1])))
     assert corr < 0.02, f"antenna cross-correlation {corr:.4f}"

@@ -55,11 +55,11 @@ def statistics(seed: int, out_dir: str) -> dict[str, float]:
     """Criteria 5-7's statistics at the default config and ``seed``."""
     cfg = load_config(None)
     cfg.run.master_seed = seed
-    trials = harness.run_fig3(cfg, out_dir)["trials"]
-    iters = [it for it, _ in trials[0]["trajectory"]]
-    median = np.median([[v for _, v in t["trajectory"]] for t in trials], axis=0)
-    mf = float(np.median([t["mf"] for t in trials]))
-    mmse = float(np.median([t["mmse"] for t in trials]))
+    fig3 = harness.run_fig3(cfg, out_dir)
+    iters, sinrs = fig3["iterations"], fig3["sinrs"]
+    median = np.median(sinrs[:, 3:], axis=0)
+    mf = float(np.median(sinrs[:, 0]))
+    mmse = float(np.median(sinrs[:, 1]))
     crossing = next((it for it, v in zip(iters, median) if v >= mf), np.inf)
     final = float(median[-1])
     openings = harness.run_eye(cfg, out_dir)["openings"]

@@ -258,6 +258,20 @@ MUTANTS = [
         ("tests/test_verify.py::test_check[combine.mmse_dominance]",),
     ),
     Mutant(
+        "summary crossing compares against the MMSE level, not MF",
+        "src/cmtmimo/harness.py",
+        "if v >= row[0]), -1)",
+        "if v >= row[1]), -1)",
+        ("tests/test_harness.py::test_summary_is_derived_from_the_trajectory",),
+    ),
+    Mutant(
+        "channel frequency response with the phase sign flipped",
+        "src/cmtmimo/channel.py",
+        "np.exp(-2j * np.pi * f_k * pdp.tap_delays)",
+        "np.exp(2j * np.pi * f_k * pdp.tap_delays)",
+        ("tests/test_channel.py::test_channel_matrix_and_stack_consistency",),
+    ),
+    Mutant(
         "golden rule skips the iteration column",
         "tests/golden/regen.py",
         "ok = int(a) == int(b)\n",

@@ -42,8 +42,8 @@ def test_criterion_1_exact_identities(report):
         mf_err = max(mf_err, abs(np.vdot(combine.mf_weights(h), h) - 1.0))
 
     topo = topology.build_topology(3, 2, 0.2, 0.9, rng)
-    real = channel.draw_channels(topo, channel.COST207_TU6, 8, rng)
-    stack = channel.matrix_stack(real, 12)
+    taps = channel.draw_channels(topo, channel.COST207_TU6, 8, rng)
+    stack = channel.matrix_stack(taps, channel.COST207_TU6, 12)
     est = airlink.estimate_channels_direct(topo, stack, 0, 0.0, 8, rng)
     expected = stack[0, 0] + sum(
         topo.cross_gain[m, 0, :][None, :] * stack[m, 0] for m in (1, 2)
@@ -116,8 +116,8 @@ def test_criterion_3_sinr_oracle(report):
     rng = np.random.default_rng(1003)
 
     topo1 = topology.build_topology(1, 1, 0.0, 1.0, rng)
-    real = channel.draw_channels(topo1, channel.COST207_TU6, 32, rng)
-    stack = channel.matrix_stack(real, 5)
+    taps = channel.draw_channels(topo1, channel.COST207_TU6, 32, rng)
+    stack = channel.matrix_stack(taps, channel.COST207_TU6, 5)
     h = stack[0, 0][:, 0]
     sigma_v = 0.05
     closed = 10 * np.log10(2 * np.real(np.vdot(h, h)) / sigma_v)
@@ -130,8 +130,8 @@ def test_criterion_3_sinr_oracle(report):
     worst_gap = np.inf
     for _ in range(100):
         topo = topology.build_topology(7, 1, 0.0, 1.0, rng)
-        real = channel.draw_channels(topo, channel.COST207_TU6, 32, rng)
-        stack = channel.matrix_stack(real, 5)
+        taps = channel.draw_channels(topo, channel.COST207_TU6, 32, rng)
+        stack = channel.matrix_stack(taps, channel.COST207_TU6, 5)
         h = stack[0, 0][:, 0]
         s = rng.choice([-1.0, 1.0], size=(7, 1, 10_000))
         t = s + 1j * rng.standard_normal((7, 1, 10_000))
@@ -162,8 +162,8 @@ def test_criterion_4_noise_calibration(report):
     sinrs = []
     for _ in range(50):
         topo = topology.build_topology(1, 1, 0.0, 1.0, rng)
-        real = channel.draw_channels(topo, channel.COST207_TU6, 128, rng)
-        stack = channel.matrix_stack(real, cfg.channel.subcarrier_index)
+        taps = channel.draw_channels(topo, channel.COST207_TU6, 128, rng)
+        stack = channel.matrix_stack(taps, channel.COST207_TU6, cfg.channel.subcarrier_index)
         h = stack[0, 0][:, 0]
         s = rng.choice([-1.0, 1.0], size=(1, 1, 4000))
         t = s + 1j * rng.standard_normal((1, 1, 4000))
@@ -184,18 +184,18 @@ def test_criterion_4_noise_calibration(report):
 def test_criterion_5_sinr_trajectory(report, tmp_path):
     cfg = load_config(None)
     result = harness.run_fig3(cfg, str(tmp_path))
-    trials = result["trials"]
-    num = len(trials)
+    iters, sinrs = result["iterations"], result["sinrs"]
+    num = len(sinrs)
 
-    level_exact = all(
-        t["trajectory"][0][0] == 0 and t["trajectory"][0][1] == t["contam"]
-        for t in trials
+    # columns: the MF-perfect, MMSE-perfect and MF-contaminated levels, then the blind curve
+    levels, curves = sinrs[:, :3], sinrs[:, 3:]
+    level_exact = bool(
+        iters[0] == 0
+        and np.array_equal(curves[:, 0], levels[:, 2])
     )
-    iters = [it for it, _ in trials[0]["trajectory"]]
-    curves = np.array([[v for _, v in t["trajectory"]] for t in trials])
     median = np.median(curves, axis=0)
-    mf = float(np.median([t["mf"] for t in trials]))
-    mmse = float(np.median([t["mmse"] for t in trials]))
+    mf = float(np.median(levels[:, 0]))
+    mmse = float(np.median(levels[:, 1]))
     crossing = next((it for it, v in zip(iters, median) if v >= mf), None)
     final = float(median[-1])
     total_updates = cfg.blind.packet_len * cfg.blind.passes

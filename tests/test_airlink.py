@@ -9,8 +9,8 @@ from cmtmimo import airlink, channel, topology
 def fixed_setup(m=3, k=2, n=4, seed=0):
     rng = np.random.default_rng(seed)
     topo = topology.build_topology(m, k, 0.2, 0.9, rng)
-    real = channel.draw_channels(topo, channel.COST207_TU6, n, rng)
-    return topo, channel.matrix_stack(real, 7), rng
+    taps = channel.draw_channels(topo, channel.COST207_TU6, n, rng)
+    return topo, channel.matrix_stack(taps, channel.COST207_TU6, 7), rng
 
 
 def receive_frame(topo, h_stack, symbols):

@@ -50,14 +50,10 @@ def test_pdp_validation():
 
 def test_draw_channels_shapes_and_determinism():
     topo = small_topo(m=3, k=2)
-    real_a = channel.draw_channels(
-        topo, channel.COST207_TU6, 4, np.random.default_rng(1)
-    )
-    real_b = channel.draw_channels(
-        topo, channel.COST207_TU6, 4, np.random.default_rng(1)
-    )
-    assert real_a.taps.shape == (3, 3, 2, 4, 6)
-    assert np.array_equal(real_a.taps, real_b.taps)
+    taps_a = channel.draw_channels(topo, channel.COST207_TU6, 4, np.random.default_rng(1))
+    taps_b = channel.draw_channels(topo, channel.COST207_TU6, 4, np.random.default_rng(1))
+    assert taps_a.shape == (3, 3, 2, 4, 6)
+    assert np.array_equal(taps_a, taps_b)
 
 
 def test_freq_response_single_tap_is_flat():
@@ -82,21 +78,27 @@ def test_freq_response_double_sum_oracle():
 
 def test_channel_matrix_and_stack_consistency():
     topo = small_topo(m=3, k=2)
-    real = channel.draw_channels(topo, channel.COST207_TU6, 4, np.random.default_rng(4))
-    stack = channel.matrix_stack(real, 10)
-    assert stack.shape == (3, 3, 4, 2)
-    for m in range(3):
-        for j in range(3):
-            for l in range(2):
-                direct = freq_response(
-                    real.taps[m, j, l], real.pdp.tap_delays, 10,
-                    real.num_subcarriers, real.sample_rate,
-                )
-                assert np.allclose(stack[m, j][:, l], direct, atol=1e-15)
+    pdp = channel.COST207_TU6
+    taps = channel.draw_channels(topo, pdp, 4, np.random.default_rng(4))
+    # the default 5 MHz over 256 subcarriers, then another grid
+    for grid in ((), (3e6, 64)):
+        bandwidth, num_sub = grid or (5e6, 256)
+        stack = channel.matrix_stack(taps, pdp, 10, *grid)
+        assert stack.shape == (3, 3, 4, 2)
+        for m in range(3):
+            for j in range(3):
+                for l in range(2):
+                    direct = freq_response(taps[m, j, l], pdp.tap_delays, 10, num_sub, bandwidth)
+                    assert np.allclose(stack[m, j][:, l], direct, atol=1e-15)
 
 
-def test_matrix_stack_rejects_bad_subcarrier():
+def test_matrix_stack_rejects_bad_subcarrier_or_sample_rate():
     topo = small_topo()
-    real = channel.draw_channels(topo, channel.COST207_TU6, 2, np.random.default_rng(5))
-    with pytest.raises(ValueError):
-        channel.matrix_stack(real, real.num_subcarriers)
+    pdp = channel.COST207_TU6
+    taps = channel.draw_channels(topo, pdp, 2, np.random.default_rng(5))
+    for index in (-1, 64):
+        with pytest.raises(ValueError, match=f"subcarrier_index {index} outside"):
+            channel.matrix_stack(taps, pdp, index, 5e6, 64)
+    for rate in (0.0, -5e6, np.nan):
+        with pytest.raises(ValueError, match="sample_rate must be positive"):
+            channel.matrix_stack(taps, pdp, 3, rate, 64)

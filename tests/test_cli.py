@@ -318,6 +318,48 @@ def test_noiseless_simulate_fails_but_eye_runs(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "eye" / "eye_opening.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "eye"])
+@pytest.mark.parametrize("target", ["4000.0", "-4000.0", "-3100.0"])
+def test_noise_target_beyond_the_float_range_exits_two(
+    tmp_path, capsys, monkeypatch, command, target
+):
+    # 10^(target/10) overflows at 4000 dB, underflows to 0 at -4000 dB and
+    # leaves an infinite noise variance at -3100 dB: each run stops before
+    # it assembles a trial, with one line naming the key and its value
+    def unreached(*args):
+        raise AssertionError("a run with no finite noise variance assembled a trial")
+
+    monkeypatch.setattr(harness, "build_scenario", unreached)
+    extra = ("--override", f"noise.target_sinr_db={target}")
+    rc = cli.main([command, *small_args(tmp_path / "out", extra)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "cmtmimo: error: noise.target_sinr_db must give a finite, positive noise "
+        f"variance (got {target})\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_too_large_for_memory_exits_two_without_csv(tmp_path, capsys, monkeypatch, workers):
+    # an allocation that fails, in this process or in a worker, ends the
+    # run with one line and no CSV; the failure is planted, never real
+    def too_large(self, num_symbols):
+        raise MemoryError("Unable to allocate 52.2 GiB for an array")
+
+    monkeypatch.setattr(harness, "WORKERS", workers)
+    monkeypatch.setattr(harness.TrialScenario, "draw_block", too_large)
+    for command in ("simulate", "eye"):
+        rc = cli.main([command, *small_args(tmp_path, ("--override", "eye.updates=200"))])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "cmtmimo: error: the run does not fit in memory: "
+            "Unable to allocate 52.2 GiB for an array\n"
+        )
+        assert not any(tmp_path.iterdir())
+        assert multiprocessing.active_children() == []
+
+
 def test_divergence_exits_one_without_csv(tmp_path, capsys):
     # a FloatingPointError raised in a worker process reaches main as one
     # line, and the run leaves no worker process behind

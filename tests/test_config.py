@@ -8,7 +8,13 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmtmimo.config import ExperimentConfig, assign_override, load_config, validate_config
+from cmtmimo.config import (
+    ExperimentConfig,
+    assign_override,
+    load_config,
+    read_config,
+    validate_config,
+)
 
 # Every leaf key of the config tree and its type.  A new knob, a removed
 # one or a changed type needs a deliberate edit here.
@@ -137,6 +143,39 @@ def test_apply_override_rejects_malformed_input():
         apply_override(cfg, "blind.mu.x=1")
     with pytest.raises(ValueError, match="config key 'topology.explicit_gains' is not a section"):
         apply_override(cfg, "topology.explicit_gains.x=1")
+
+
+@pytest.mark.parametrize(
+    "key, text, value",
+    [
+        ("blind.mu", "1e-3", 1e-3),
+        ("channel.bandwidth_hz", "5e6", 5e6),
+        ("noise.target_sinr_db", "-2E+4", -2e4),
+        ("topology.gain_high", "1.5e-1", 0.15),
+        ("channel.pdp_delays_us", "[0, 2e-1, 1E0]", [0, 0.2, 1.0]),
+    ],
+)
+def test_exponent_notation_is_a_number_in_files_and_overrides(tmp_path, key, text, value):
+    # YAML 1.1 reads 1e-3 (no dot, or no exponent sign) as a string; a
+    # config file and an override both read it as the float it writes
+    section, name = key.split(".")
+    path = tmp_path / "config.yaml"
+    path.write_text(f"{section}:\n  {name}: {text}\n")
+    from_file = read_config(str(path))
+    from_override = assign_override(ExperimentConfig(), f"{key}={text}")
+    for cfg in (from_file, from_override):
+        assert getattr(getattr(cfg, section), name) == value
+
+
+def test_exponent_notation_is_not_an_integer(tmp_path):
+    # 1e3 is the float 1000.0, so an integer key still rejects it
+    path = tmp_path / "config.yaml"
+    path.write_text("run:\n  num_trials: 1e3\n")
+    message = re.escape("config key 'run.num_trials' expects an integer, got 1000.0")
+    with pytest.raises(ValueError, match=message):
+        read_config(str(path))
+    with pytest.raises(ValueError, match=message):
+        assign_override(ExperimentConfig(), "run.num_trials=1e3")
 
 
 def test_normalized_step_must_stay_below_one():

@@ -150,7 +150,7 @@ def test_build_scenario_estimator_modes_agree_statistically():
 
 def test_run_fig3_outputs(tmp_path):
     cfg = tiny_config()
-    result = harness.run_fig3(cfg, str(tmp_path))
+    harness.run_fig3(cfg, str(tmp_path))
     traj = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert traj[0] == harness.TRAJECTORY_HEADER
     probes = len(harness._probe_schedule(cfg, 200))
@@ -163,7 +163,23 @@ def test_run_fig3_outputs(tmp_path):
     summary = (tmp_path / "summary.csv").read_text().splitlines()
     assert summary[0] == harness.SUMMARY_HEADER
     assert len(summary) == 1 + cfg.run.num_trials
-    assert result["trials"][0]["trajectory"][0][0] == 0
+
+
+def test_run_fig3_returns_the_trajectory_values(tmp_path):
+    # iterations and sinrs are trajectory.csv's iteration column and its
+    # blind, MF-perfect, MMSE-perfect and MF-contaminated columns, as written
+    cfg = tiny_config(trials=3)
+    result = harness.run_fig3(cfg, str(tmp_path))
+    iterations, sinrs = result["iterations"], result["sinrs"]
+    assert sinrs.shape == (cfg.run.num_trials, 3 + len(iterations))
+    rows = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
+    assert len(rows) == sinrs.shape[0] * len(iterations)
+    for n, row in enumerate(rows):
+        trial, probe = divmod(n, len(iterations))
+        fields = row.split(",")
+        assert fields[:2] == [str(trial), "%d" % iterations[probe]], row
+        values = [sinrs[trial, 3 + probe], *sinrs[trial, :3]]
+        assert fields[2:] == ["%.12g" % v for v in values], row
 
 
 def test_csv_bytes_do_not_depend_on_group_width(tmp_path, monkeypatch):
