@@ -11,11 +11,12 @@ where R = E[s^2] / E[|s|] is the dispersion constant of the PAM alphabet
 at p = 1.  The decision variable is the real part of the combiner output
 (CMT decisions are real PAM), and the update is the instantaneous
 gradient of the Godard p = 1 cost (|y| - R)^2.  ``blind_step`` is the
-one-update reference; ``run_packet`` checks a packet, builds its
-per-update steps and block factors, and tracks one trial or a (T, N)
-batch of trials with the block-exact ``kernels.track_segment``.  It
-hands back copies of the weights at requested iterations for the caller
-to score (the experiments use ``harness.probe_sinrs``).
+one-update, one-trial reference; ``run_packet`` checks a (T, N) batch of
+starting weights, the update's constants and a (P, T, N) packet, builds
+the packet's per-update steps and block factors, and tracks the batch
+with the block-exact ``kernels.track_segment``.  It hands back copies of
+the weights at requested iterations for the caller to score (the
+experiments use ``harness.probe_sinrs``).
 """
 
 from __future__ import annotations
@@ -77,75 +78,56 @@ def dispersion_constant(alphabet: PamAlphabet, p: int) -> float:
     return alphabet.moment(2 * p) / denom
 
 
-@dataclass
-class BlindTrackerState:
-    """Mutable tracker state: weights plus the update's constants."""
-
-    w: np.ndarray
-    mu: float
-    epsilon: float
-    R: float = 1.0
-    iteration: int = 0
-
-    def __post_init__(self) -> None:
-        self.w = np.ascontiguousarray(self.w, dtype=complex)
-        if not np.all(np.isfinite(self.w)):
-            raise ValueError("weights must be finite")
-        # mu = 0 is allowed as the frozen-tracker degenerate case
-        if self.mu < 0.0 or self.epsilon < 0.0:
-            raise ValueError("mu and epsilon must be >= 0")
-        if self.R <= 0.0:
-            raise ValueError("dispersion constant must be positive")
-
-
 def blind_step(
-    state: BlindTrackerState, x: np.ndarray, normalized: bool = True
-) -> tuple[BlindTrackerState, float]:
+    w: np.ndarray, x: np.ndarray, mu: float, epsilon: float, R: float, normalized: bool = True
+) -> tuple[np.ndarray, float]:
     """One tracking update; reference implementation of the kernel contract.
 
-    Returns the state (mutated in place) and the pre-update decision
-    s_hat = Re{w^H x}.
+    Returns the updated copy of the (N,) weights ``w`` and the pre-update
+    decision s_hat = Re{w^H x}.
     """
     x = np.asarray(x, dtype=complex).ravel()
-    if x.size != state.w.size:
+    if x.size != np.size(w):
         raise ValueError("received vector length disagrees with weights")
     if not np.all(np.isfinite(x)):
         raise ValueError("received vector contains non-finite entries")
-    s_hat = float(np.vdot(state.w, x).real)
+    s_hat = float(np.vdot(w, x).real)
     if normalized:
-        eta = 2.0 * state.mu / (np.real(np.vdot(x, x)) + state.epsilon)
+        eta = 2.0 * mu / (np.real(np.vdot(x, x)) + epsilon)
     else:
-        eta = 2.0 * state.mu
-    state.w -= eta * np.sign(s_hat) * (abs(s_hat) - state.R) * x
-    state.iteration += 1
-    return state, s_hat
+        eta = 2.0 * mu
+    return w - eta * np.sign(s_hat) * (abs(s_hat) - R) * x, s_hat
 
 
 def run_packet(
-    state: BlindTrackerState,
+    w: np.ndarray,
     packet: np.ndarray,
     passes: int,
+    mu: float,
+    epsilon: float,
+    R: float,
     snapshots=(),
     normalized: bool = True,
     collect_decisions: bool = False,
     first_trial: int = 0,
 ):
-    """Track over a packet reused cyclically for ``passes`` passes.
+    """Track a batch of trials over a packet reused cyclically for ``passes`` passes.
 
     Parameters
     ----------
-    state : BlindTrackerState
-        Mutated in place; ``state.iteration`` advances by passes * P.  Its
-        weights are one trial, shape (N,), or a batch of independent
-        trials, shape (T, N), tracked together.
-    packet : ndarray, shape (P,) + state.w.shape
-        Received vectors: (P, N) for one trial, (P, T, N) for a batch (the
-        hidden truth stays with the caller).
+    w : ndarray, shape (T, N)
+        Starting weights, one independent trial per row; left unmodified.
+    packet : ndarray, shape (P, T, N)
+        Received vectors (the hidden truth stays with the caller).
     passes : int
         Number of cyclic passes (>= 1).
+    mu, epsilon, R : float
+        Step (>= 0; 0 freezes the tracker), regularizer (>= 0) and
+        dispersion constant (> 0) of the update.
     snapshots : sequence of int
-        Strictly increasing iterations (update counts relative to this
-        call, 0 for the starting weights) at which to copy the weights.
+        Strictly increasing iterations (update counts, 0 for the starting
+        weights) at which to copy the weights; the final weights are the
+        snapshot at passes * P.
     normalized : bool
         Steps 2 mu / (x^H x + epsilon) when true, else 2 mu
         (``kernels.step_sizes``).
@@ -158,17 +140,17 @@ def run_packet(
 
     Returns
     -------
-    weights : ndarray, shape (len(snapshots),) + state.w.shape
+    weights : ndarray, shape (len(snapshots), T, N)
         The weights after each snapshot iteration.
-    decisions : ndarray, shape (passes * P,) + state.w.shape[:-1], or None
+    decisions : ndarray, shape (passes * P, T), or None
         One decision per update and trial when ``collect_decisions``.
 
     Raises
     ------
     ValueError
-        On a bad packet, pass count or snapshot list.  For a packet that
-        holds a non-finite entry, the message names the first trial
-        affected.
+        On bad weights, constants, packet, pass count or snapshot list.
+        For a packet that holds a non-finite entry, or whose squared norms
+        x^H x overflow, the message names the first trial affected.
     FloatingPointError
         When the weights turn non-finite; the message names the first
         trial affected and the iteration reached.  Checked after every
@@ -177,11 +159,21 @@ def run_packet(
         invalid warnings off, so this error is the one signal of a
         divergence.
     """
-    shape = state.w.shape
+    # the kernel updates a C-contiguous copy in place
+    w = np.array(w, dtype=complex, order="C")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
+    # mu = 0 is allowed as the frozen-tracker degenerate case
+    if mu < 0.0 or epsilon < 0.0:
+        raise ValueError("mu and epsilon must be >= 0")
+    if R <= 0.0:
+        raise ValueError("dispersion constant must be positive")
+    if w.ndim != 2:
+        raise ValueError("weights must be a (T, N) array, one trial per row")
     packet = np.ascontiguousarray(packet, dtype=complex)
-    if packet.ndim != len(shape) + 1 or packet.shape[0] == 0:
-        raise ValueError(f"packet must be a nonempty (P,) + {shape} array")
-    if packet.shape[1:] != shape:
+    if packet.ndim != 3 or packet.shape[0] == 0:
+        raise ValueError(f"packet must be a nonempty (P,) + {w.shape} array")
+    if packet.shape[1:] != w.shape:
         raise ValueError("packet shape disagrees with weights")
     if passes < 1:
         raise ValueError("passes must be >= 1")
@@ -191,14 +183,18 @@ def run_packet(
         raise ValueError("snapshot iterations must be strictly increasing")
     if stops and (stops[0] < 0 or stops[-1] > total):
         raise ValueError(f"snapshot iterations must lie in [0, {total}]")
-
-    # the kernel works on a (T, N) batch; one trial is a batch of one
-    w = state.w.reshape(-1, shape[-1])
-    batch = packet.reshape(packet.shape[0], *w.shape)
-    finite = np.isfinite(batch)
+    finite = np.isfinite(packet)
     if not finite.all():
         trial = first_trial + int(np.argmin(finite.all(axis=(0, 2))))
         raise ValueError(f"packet of trial {trial} contains non-finite entries")
+    # a norm that overflows would make every normalized step 0 (the
+    # tracker freezes) and the block factors nan
+    x_re = packet.view(np.float64)
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(np.einsum("ptn,ptn->pt", x_re, x_re)).all(axis=0)
+    if not finite.all():
+        trial = first_trial + int(np.argmin(finite))
+        raise ValueError(f"packet of trial {trial} has a squared norm beyond the float range")
     weights = np.empty((len(stops),) + w.shape, dtype=complex)
     decisions = np.empty((total, w.shape[0])) if collect_decisions else None
     pos = 0
@@ -206,30 +202,26 @@ def run_packet(
     def advance(stop: int) -> None:
         nonlocal pos
         seg = decisions[pos:stop] if collect_decisions else None
-        kernels.track_segment(w, batch, eta, factors, pos, stop - pos, state.R, seg)
-        state.iteration += stop - pos
+        kernels.track_segment(w, packet, eta, factors, pos, stop - pos, R, seg)
         pos = stop
         finite = np.isfinite(w).all(axis=1)
         if not finite.all():
             trial = first_trial + int(np.argmin(finite))
             raise FloatingPointError(
                 f"blind tracker diverged: weights of trial {trial} are non-finite "
-                f"at iteration {state.iteration} (mu={state.mu})"
+                f"at iteration {pos} (mu={mu})"
             )
 
     # overflow on the way to divergence, in the steps, the factors or the
     # kernel, is reported once, by the finite-weights check after each
     # segment, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        eta = kernels.step_sizes(batch, state.mu, state.epsilon, normalized)
-        factors = kernels.block_factors(batch, eta)
+        eta = kernels.step_sizes(packet, mu, epsilon, normalized)
+        factors = kernels.block_factors(packet, eta)
         for j, stop in enumerate(stops):
             if stop > pos:
                 advance(stop)
             weights[j] = w
         if pos < total:
             advance(total)
-
-    if collect_decisions:
-        decisions = decisions.reshape((total,) + shape[:-1])
-    return weights.reshape((len(stops),) + shape), decisions
+    return weights, decisions

@@ -387,16 +387,15 @@ def _track_group(
     Assembly builds each trial's scenario from its own generator and draws
     its packet into column t of the group's (P, T, N) packet stack; the
     generator is left right after the packet, where the trial's probe
-    block comes from.  The group's tracker state is built from the
-    assembled trials: row t of its weights is the MF on trial t's
-    contaminated estimate, its step is ``blind.mu``, its regularizer
-    epsilon is 1e-12 per antenna and R is the alphabet's p = 1 dispersion
-    constant.  ``blind.run_packet`` then checks the
-    stack (naming a trial whose packet is non-finite), builds its steps
-    and block factors and tracks it.  The stack lives only while the
-    group is tracked.  Both stages are timed and counted into ``stages``.
-    Returns the scenarios in trial order plus the weight snapshots and
-    decisions of ``blind.run_packet``.
+    block comes from.  Row t of the starting weights is the MF on trial
+    t's contaminated estimate.  ``blind.run_packet`` then checks the
+    stack (naming a trial whose packet is non-finite or whose squared
+    norms overflow), builds its steps and block factors and tracks it,
+    with step ``blind.mu``, regularizer epsilon 1e-12 per antenna and R
+    the alphabet's p = 1 dispersion constant.  The stack lives only
+    while the group is tracked.  Both stages are timed and counted into
+    ``stages``.  Returns the scenarios in trial order plus the weight
+    snapshots and decisions of ``blind.run_packet``.
     """
     start = time.perf_counter()
     packet_len = config.blind.packet_len
@@ -408,17 +407,15 @@ def _track_group(
         scen = build_scenario(config, trial_rng(config.run.master_seed, trial), sigma_q, sigma_v_sq)
         packets[:, t] = scen.draw_block(packet_len)[0]
         scens.append(scen)
-    state = blind.BlindTrackerState(
-        w=[combine.mf_weights(scen.h_hat) for scen in scens],
+    w = np.array([combine.mf_weights(scen.h_hat) for scen in scens])
+    start = stages["assemble"].add(width, start)
+    weights, decisions = blind.run_packet(
+        w,
+        packets,
+        passes,
         mu=config.blind.mu,
         epsilon=1e-12 * num_antennas,
         R=blind.dispersion_constant(config.alphabet(), 1),
-    )
-    start = stages["assemble"].add(width, start)
-    weights, decisions = blind.run_packet(
-        state,
-        packets,
-        passes,
         snapshots=snapshots,
         normalized=config.blind.normalized,
         collect_decisions=collect_decisions,

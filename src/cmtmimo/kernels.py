@@ -20,9 +20,11 @@ signs in at most n + 1 rounds (about one in practice).  The block's
 weight change is then one product, w -= sum_j eta_j (y_j - R s_j) x_j.
 
 The steps eta (``step_sizes``) and the factors M - I (``block_factors``)
-depend only on the packet and the step, so ``blind.run_packet`` builds
-both once per packet and passes them to every ``track_segment`` call on
-it.  Row t of each depends only on trial t's packet column.
+depend only on the packet and the step, so ``blind.run_packet``, the
+one caller, builds both once per packet and passes them to every
+``track_segment`` call on it, after checking that the packet's entries
+and squared norms are finite.  Row t of each depends only on trial t's
+packet column.
 """
 
 from __future__ import annotations

@@ -181,6 +181,20 @@ MUTANTS = [
         ("tests/test_blind.py::test_run_packet_input_validation",),
     ),
     Mutant(
+        "packet whose squared norms overflow passes the tracker's check",
+        "src/cmtmimo/blind.py",
+        'finite = np.isfinite(np.einsum("ptn,ptn->pt", x_re, x_re)).all(axis=0)',
+        "finite = np.ones(packet.shape[1], dtype=bool)",
+        ("tests/test_cli.py::test_received_power_beyond_the_float_range_exits_two",),
+    ),
+    Mutant(
+        "experiments track with step 0, not blind.mu",
+        "src/cmtmimo/harness.py",
+        "mu=config.blind.mu,",
+        "mu=0.0,",
+        ("tests/test_verify.py::test_check[blind.cost_descent]",),
+    ),
+    Mutant(
         "finite-number check skips list keys",
         "src/cmtmimo/config.py",
         "if isinstance(value, list) and not _all_finite(value):",

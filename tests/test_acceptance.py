@@ -83,9 +83,9 @@ def test_criterion_2_gradient_direction(report):
         y = np.vdot(w, x).real
         if abs(y) < 0.2 or abs(abs(y) - r) < 0.2:
             continue  # keep clear of the cost's kinks
-        state = blind.BlindTrackerState(w=w.copy(), mu=0.25, epsilon=0.0, R=r)
-        blind.blind_step(state, x, normalized=False)
-        grad_analytic = -(state.w - w) / (2 * 0.25)
+        w_new, _ = blind.blind_step(w, x, 0.25, 0.0, r, normalized=False)
+        update = w_new - w  # -2 mu sign(y)(|y| - r) x
+        grad_analytic = -update / (2 * 0.25)
 
         def cost(w_ri):
             wc = w_ri[:n] + 1j * w_ri[n:]

@@ -4,9 +4,25 @@ import pytest
 from cmtmimo import blind, combine
 
 
-def start(h, mu=0.05):
-    """Tracker state at the matched filter on ``h``: the experiments' start."""
-    return blind.BlindTrackerState(w=combine.mf_weights(h), mu=mu, epsilon=1e-12 * h.size)
+def start(h):
+    """A batch of one trial at the matched filter on ``h``: the experiments' start."""
+    return combine.mf_weights(h)[None]
+
+
+def track(w, packet, passes, mu=0.05, **kwargs):
+    """``run_packet`` at the experiments' epsilon and the binary R = 1."""
+    return blind.run_packet(w, packet, passes, mu, 1e-12 * w.shape[-1], 1.0, **kwargs)
+
+
+def final(w, packet, passes, mu=0.05):
+    """The weights after ``passes`` passes over ``packet``."""
+    return track(w, packet, passes, mu, snapshots=[passes * len(packet)])[0][-1]
+
+
+def one_trial(rng, packet_len, n):
+    """A (P, 1, N) packet and a channel to start from, for a batch of one."""
+    packet = rng.standard_normal((packet_len, 1, n)) + 1j * rng.standard_normal((packet_len, 1, n))
+    return packet, rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
 def test_binary_alphabet_moments():
@@ -56,116 +72,98 @@ def test_dispersion_constant_exact_values():
 def test_blind_step_hand_oracle_normalized():
     # w = (1, 0), x = (2, i): s_hat = 2, ||x||^2 = 5,
     # step = (2 * 0.1 / 5) * sign(2) * (2 - 1) * x = 0.04 * x
-    state = blind.BlindTrackerState(
-        w=np.array([1.0 + 0j, 0.0 + 0j]), mu=0.1, epsilon=0.0, R=1.0
-    )
-    state, s_hat = blind.blind_step(state, np.array([2.0 + 0j, 1.0j]))
+    w = np.array([1.0 + 0j, 0.0 + 0j])
+    w_new, s_hat = blind.blind_step(w, np.array([2.0 + 0j, 1.0j]), 0.1, 0.0, 1.0)
     assert s_hat == 2.0
-    assert np.allclose(state.w, [0.92 + 0j, -0.04j], atol=1e-15)
-    assert state.iteration == 1
+    assert np.allclose(w_new, [0.92 + 0j, -0.04j], atol=1e-15)
+    assert np.array_equal(w, [1.0, 0.0])  # the update is a copy
 
 
 def test_blind_step_hand_oracle_unnormalized():
     # same input without normalization: step = 2 * 0.1 * 1 * x = 0.2 * x
-    state = blind.BlindTrackerState(
-        w=np.array([1.0 + 0j, 0.0 + 0j]), mu=0.1, epsilon=0.0, R=1.0
-    )
-    state, s_hat = blind.blind_step(state, np.array([2.0 + 0j, 1.0j]), normalized=False)
+    w = np.array([1.0 + 0j, 0.0 + 0j])
+    w_new, s_hat = blind.blind_step(w, np.array([2.0 + 0j, 1.0j]), 0.1, 0.0, 1.0, False)
     assert s_hat == 2.0
-    assert np.allclose(state.w, [0.6 + 0j, -0.2j], atol=1e-15)
+    assert np.allclose(w_new, [0.6 + 0j, -0.2j], atol=1e-15)
 
 
 def test_blind_step_zero_output_is_a_fixed_point():
     # sign(0) = 0: no update when the output lands exactly on zero
-    state = blind.BlindTrackerState(
-        w=np.array([0.0 + 0j, 1.0 + 0j]), mu=0.1, epsilon=0.0, R=1.0
-    )
-    w_before = state.w.copy()
-    state, s_hat = blind.blind_step(state, np.array([1.0 + 0j, 1.0j]))
+    w = np.array([0.0 + 0j, 1.0 + 0j])
+    w_new, s_hat = blind.blind_step(w, np.array([1.0 + 0j, 1.0j]), 0.1, 0.0, 1.0)
     assert s_hat == 0.0
-    assert np.array_equal(state.w, w_before)
+    assert np.array_equal(w_new, w)
 
 
 def test_blind_step_on_circle_no_update():
     rng = np.random.default_rng(2)
     w = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     x = 1.0 * w / np.real(np.vdot(w, w))
-    state = blind.BlindTrackerState(w=w.copy(), mu=0.2, epsilon=0.0, R=1.0)
-    state, s_hat = blind.blind_step(state, x)
+    w_new, s_hat = blind.blind_step(w, x, 0.2, 0.0, 1.0)
     assert abs(s_hat - 1.0) < 1e-14
-    assert np.max(np.abs(state.w - w)) < 1e-14
+    assert np.max(np.abs(w_new - w)) < 1e-14
 
 
-def test_tracker_state_validation():
-    w = np.ones(4, dtype=complex)
-    with pytest.raises(ValueError):
-        blind.BlindTrackerState(w=w, mu=-0.1, epsilon=0.0, R=1.0)
-    with pytest.raises(ValueError):
-        blind.BlindTrackerState(w=w, mu=0.1, epsilon=-1.0, R=1.0)
-    with pytest.raises(ValueError):
-        blind.BlindTrackerState(w=w, mu=0.1, epsilon=0.0, R=0.0)
+def test_run_packet_rejects_bad_weights_and_constants():
+    w = np.ones((1, 4), dtype=complex)
+    packet = np.ones((5, 1, 4), dtype=complex)
+    for args, message in [
+        ((w, packet, 1, -0.1, 0.0, 1.0), "mu and epsilon must be >= 0"),
+        ((w, packet, 1, 0.1, -1.0, 1.0), "mu and epsilon must be >= 0"),
+        ((w, packet, 1, 0.1, 0.0, 0.0), "dispersion constant must be positive"),
+        ((np.full((1, 4), np.nan), packet, 1, 0.1, 0.0, 1.0), "weights must be finite"),
+        ((w[0], packet[:, 0], 1, 0.1, 0.0, 1.0), r"weights must be a \(T, N\) array"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            blind.run_packet(*args)
 
 
 def test_run_packet_probe_every_iteration():
-    # a snapshot after every update equals stepping one update per call
-    rng = np.random.default_rng(3)
-    packet = rng.standard_normal((25, 4)) + 1j * rng.standard_normal((25, 4))
-    h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    state = start(h)
-    weights, decisions = blind.run_packet(state, packet, passes=1, snapshots=range(1, 26))
-    assert weights.shape == (25, 4)
+    # a snapshot after every update equals stepping one update per call,
+    # and the caller's weights are left as they were
+    packet, h = one_trial(np.random.default_rng(3), 25, 4)
+    w0 = start(h)
+    weights, decisions = track(w0, packet, passes=1, snapshots=range(1, 26))
+    assert weights.shape == (25, 1, 4)
     assert decisions is None
-    assert state.iteration == 25
-    assert np.array_equal(weights[-1], state.w)
-    step = start(h)
+    assert np.array_equal(w0, start(h))
+    w = w0
     for i in range(25):
-        blind.run_packet(step, packet[i : i + 1], passes=1)
-        assert np.array_equal(weights[i], step.w)
+        w = final(w, packet[i : i + 1], 1)
+        assert np.array_equal(weights[i], w)
 
 
 def test_run_packet_cadence_and_final_probe():
-    # snapshots are copies at their iterations; the run still ends at passes * P
-    rng = np.random.default_rng(4)
-    packet = rng.standard_normal((10, 4)) + 1j * rng.standard_normal((10, 4))
-    h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    state = start(h)
-    weights, _ = blind.run_packet(state, packet, passes=3, snapshots=[7, 14, 21, 28])
-    assert weights.shape == (4, 4)
-    assert state.iteration == 30
-    for stop, w in zip([7, 14, 21, 28], weights):
+    # snapshots are copies at their iterations, up to passes * P
+    packet, h = one_trial(np.random.default_rng(4), 10, 4)
+    weights, _ = track(start(h), packet, passes=3, snapshots=[7, 14, 21, 28, 30])
+    assert weights.shape == (5, 1, 4)
+    for stop, w in zip([7, 14, 21, 28, 30], weights):
         ref = start(h)
         full, rest = divmod(stop, 10)
         if full:
-            blind.run_packet(ref, packet, passes=full)
+            ref = final(ref, packet, full)
         if rest:
-            blind.run_packet(ref, packet[:rest], passes=1)
-        np.testing.assert_allclose(w, ref.w, rtol=1e-12, atol=0.0)
-    assert not np.array_equal(weights[-1], state.w)
+            ref = final(ref, packet[:rest], 1)
+        np.testing.assert_allclose(w, ref, rtol=1e-12, atol=0.0)
+    assert not np.array_equal(weights[-2], weights[-1])
 
 
 def test_run_packet_explicit_probe_iterations_with_zero():
-    rng = np.random.default_rng(5)
-    packet = rng.standard_normal((10, 4)) + 1j * rng.standard_normal((10, 4))
-    h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    state = start(h)
-    w0 = state.w.copy()
-    weights, _ = blind.run_packet(state, packet, passes=1, snapshots=[0, 5, 10])
+    packet, h = one_trial(np.random.default_rng(5), 10, 4)
+    w0 = start(h)
+    weights, _ = track(w0, packet, passes=1, snapshots=[0, 5, 10])
     assert np.array_equal(weights[0], w0)  # taken before any update
-    assert np.array_equal(weights[2], state.w)
+    np.testing.assert_allclose(weights[2], final(w0, packet, 1), rtol=1e-12, atol=0.0)
     for bad in ([4, 99], [-1, 4], [5, 5], [6, 2]):
         with pytest.raises(ValueError):
-            blind.run_packet(state, packet, passes=1, snapshots=bad)
+            track(w0, packet, passes=1, snapshots=bad)
 
 
 def test_run_packet_frozen_tracker_with_zero_mu():
-    rng = np.random.default_rng(6)
-    packet = rng.standard_normal((20, 4)) + 1j * rng.standard_normal((20, 4))
-    h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    state = start(h, mu=0.0)
-    w0 = state.w.copy()
-    weights, _ = blind.run_packet(state, packet, passes=2, snapshots=[10, 20, 30, 40])
-    assert np.array_equal(state.w, w0)
-    assert state.iteration == 40
+    packet, h = one_trial(np.random.default_rng(6), 20, 4)
+    w0 = start(h)
+    weights, _ = track(w0, packet, passes=2, mu=0.0, snapshots=[0, 10, 20, 30, 40])
     assert all(np.array_equal(w, w0) for w in weights)
 
 
@@ -175,74 +173,73 @@ def test_run_packet_batch_rows_match_single_trials():
     trials, n = 3, 6
     packets = rng.standard_normal((12, trials, n)) + 1j * rng.standard_normal((12, trials, n))
     hs = rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n))
-    batch = blind.BlindTrackerState(
-        w=np.stack([combine.mf_weights(h) for h in hs]), mu=0.05, epsilon=1e-12 * n
-    )
-    weights, decisions = blind.run_packet(
-        batch, packets, passes=2, snapshots=[0, 9, 24], collect_decisions=True
+    w0 = np.stack([combine.mf_weights(h) for h in hs])
+    weights, decisions = track(
+        w0, packets, passes=2, snapshots=[0, 9, 24], collect_decisions=True
     )
     assert weights.shape == (3, trials, n)
     assert decisions.shape == (24, trials)
     for t in range(trials):
-        one = start(hs[t])
-        w_one, d_one = blind.run_packet(
-            one, packets[:, t], passes=2, snapshots=[0, 9, 24], collect_decisions=True
+        w_one, d_one = track(
+            start(hs[t]), packets[:, t : t + 1], passes=2, snapshots=[0, 9, 24],
+            collect_decisions=True,
         )
-        assert np.array_equal(weights[:, t], w_one)
-        assert np.array_equal(decisions[:, t], d_one)
-        assert np.array_equal(batch.w[t], one.w)
+        assert np.array_equal(weights[:, t], w_one[:, 0])
+        assert np.array_equal(decisions[:, t], d_one[:, 0])
 
 
 def test_run_packet_state_continuity_across_calls():
-    rng = np.random.default_rng(7)
-    packet = rng.standard_normal((30, 8)) + 1j * rng.standard_normal((30, 8))
-    h = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    one = start(h)
-    blind.run_packet(one, packet, passes=2)
-    two = start(h)
-    blind.run_packet(two, packet, passes=1)
-    blind.run_packet(two, packet, passes=1)
-    assert one.iteration == two.iteration == 60
-    assert np.allclose(one.w, two.w, rtol=1e-12, atol=0.0)
+    packet, h = one_trial(np.random.default_rng(7), 30, 8)
+    one = final(start(h), packet, 2)
+    two = final(final(start(h), packet, 1), packet, 1)
+    assert np.allclose(one, two, rtol=1e-12, atol=0.0)
 
 
 def test_run_packet_decisions_match_reference_steps():
-    rng = np.random.default_rng(8)
-    packet = rng.standard_normal((15, 4)) + 1j * rng.standard_normal((15, 4))
-    h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    packet, h = one_trial(np.random.default_rng(8), 15, 4)
+    weights, decisions = track(
+        start(h), packet, passes=3, mu=0.04, snapshots=[45], collect_decisions=True
+    )
+    assert decisions.shape == (45, 1)
 
-    fast = start(h, mu=0.04)
-    _, decisions = blind.run_packet(fast, packet, passes=3, collect_decisions=True)
-    assert decisions.shape == (45,)
-
-    slow = start(h, mu=0.04)
+    slow = start(h)[0]
     expected = []
     for i in range(45):
-        slow, s_hat = blind.blind_step(slow, packet[i % 15])
+        slow, s_hat = blind.blind_step(slow, packet[i % 15, 0], 0.04, 1e-12 * 4, 1.0)
         expected.append(s_hat)
-    assert np.allclose(decisions, expected, rtol=1e-10, atol=1e-14)
-    assert np.allclose(fast.w, slow.w, rtol=1e-10, atol=1e-14)
+    assert np.allclose(decisions[:, 0], expected, rtol=1e-10, atol=1e-14)
+    assert np.allclose(weights[-1, 0], slow, rtol=1e-10, atol=1e-14)
 
 
 def test_run_packet_input_validation():
-    state = start(np.ones(4, dtype=complex))
-    good = np.ones((5, 4), dtype=complex)
+    w = start(np.ones(4, dtype=complex))
+    good = np.ones((5, 1, 4), dtype=complex)
     with pytest.raises(ValueError):
-        blind.run_packet(state, np.ones((5, 3), dtype=complex), passes=1)
+        track(w, np.ones((5, 1, 3), dtype=complex), passes=1)
     with pytest.raises(ValueError):
-        blind.run_packet(state, good, passes=0)
+        track(w, good[:, 0], passes=1)
+    with pytest.raises(ValueError):
+        track(w, good, passes=0)
     bad = good.copy()
-    bad[2, 1] = np.nan
+    bad[2, 0, 1] = np.nan
     with pytest.raises(ValueError, match="^packet of trial 0 contains non-finite entries$"):
-        blind.run_packet(state, bad, passes=1)
-    # a batch's packet check names the first bad trial, counted from first_trial
+        track(w, bad, passes=1)
+    # a batch's packet checks name the first bad trial, counted from first_trial
     batch = np.ones((5, 3, 4), dtype=complex)
     batch[4, 2, 0] = np.inf
     batch[1, 1, 3] = np.nan
-    trio = blind.BlindTrackerState(w=np.ones((3, 4), dtype=complex), mu=0.05, epsilon=0.0)
+    trio = np.ones((3, 4), dtype=complex)
     with pytest.raises(ValueError, match="^packet of trial 8 contains non-finite entries$"):
-        blind.run_packet(trio, batch, passes=1, first_trial=7)
-    assert trio.iteration == 0
+        track(trio, batch, passes=1, first_trial=7)
+    # finite entries whose squared norm x^H x overflows
+    batch = np.ones((5, 3, 4), dtype=complex)
+    batch[3, 2] *= 1e160
+    batch[4, 1, 0] = 1e150  # 1e300: large, but finite
+    with pytest.raises(
+        ValueError, match="^packet of trial 9 has a squared norm beyond the float range$"
+    ):
+        track(trio, batch, passes=1, first_trial=7)
+    assert np.array_equal(trio, np.ones((3, 4)))
 
 
 def test_descent_on_stationary_mixture():
@@ -254,17 +251,14 @@ def test_descent_on_stationary_mixture():
     x = np.outer(s + 1j * rng.standard_normal(400), h)
     x += 0.05 * (rng.standard_normal((400, n)) + 1j * rng.standard_normal((400, n)))
     h_hat = h + 0.4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    state = start(h_hat, mu=0.05)
 
-    def dispersion_cost():
-        # sample Godard cost at p = 1: mean of (|y| - R)^2
-        y = np.real(x @ state.w.conj())
-        return np.mean((np.abs(y) - state.R) ** 2)
+    def dispersion_cost(w):
+        # sample Godard cost at p = 1 and R = 1: mean of (|y| - R)^2
+        y = np.real(x @ w[0].conj())
+        return np.mean((np.abs(y) - 1.0) ** 2)
 
-    before = dispersion_cost()
-    blind.run_packet(state, x, passes=10)
-    after = dispersion_cost()
-    assert after < before
+    w0 = start(h_hat)
+    assert dispersion_cost(final(w0, x[:, None], 10)) < dispersion_cost(w0)
 
 
 def test_run_packet_raises_on_divergence():
@@ -276,11 +270,12 @@ def test_run_packet_raises_on_divergence():
     packet[:, 0] *= 1e-3
     packet[:, 2] *= 1e-3
     w = np.stack([combine.mf_weights(packet[0, t]) for t in range(3)])
-    state = blind.BlindTrackerState(w=w, mu=3.0, epsilon=0.0)
-    with pytest.raises(FloatingPointError, match=r"trial 5 are non-finite at iteration \d+ "):
+    w0 = w.copy()
+    with pytest.raises(
+        FloatingPointError, match=r"trial 5 are non-finite at iteration \d+ \(mu=3.0\)$"
+    ):
         blind.run_packet(
-            state, packet, passes=10, snapshots=[50, 100, 150],
+            w, packet, 10, 3.0, 0.0, 1.0, snapshots=[50, 100, 150],
             normalized=False, first_trial=4,
         )
-    assert np.all(np.isfinite(state.w[[0, 2]]))
-    assert not np.all(np.isfinite(state.w[1]))
+    assert np.array_equal(w, w0)

@@ -340,6 +340,30 @@ def test_noise_target_beyond_the_float_range_exits_two(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "eye"])
+@pytest.mark.parametrize("target", ["-3040.0", "-3050.0"])
+def test_received_power_beyond_the_float_range_exits_two(tmp_path, capsys, command, target):
+    # at N = 128 the squared norms of the received vectors overflow: every
+    # normalized step would be 0 at -3040 dB (a frozen tracker that exits
+    # 0) and the block factors nan at -3050 dB (reported as divergence);
+    # the tracker rejects the packet instead, naming its trial
+    extra = ("--override", "channel.num_antennas=128")
+    extra += ("--override", f"noise.target_sinr_db={target}")
+    rc = cli.main([command, *small_args(tmp_path / "out", extra)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "cmtmimo: error: packet of trial 0 has a squared norm beyond the float range\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "eye"])
+def test_received_power_below_the_float_limit_still_runs(tmp_path, command):
+    extra = ("--override", "channel.num_antennas=128")
+    extra += ("--override", "noise.target_sinr_db=-3000.0")
+    assert cli.main([command, *small_args(tmp_path, extra)]) == 0
+
+
 @pytest.mark.parametrize("workers", [1, 3])
 def test_run_too_large_for_memory_exits_two_without_csv(tmp_path, capsys, monkeypatch, workers):
     # an allocation that fails, in this process or in a worker, ends the

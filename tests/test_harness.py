@@ -1,3 +1,4 @@
+import inspect
 import os
 import re
 
@@ -450,9 +451,9 @@ def test_tracker_aims_at_the_alphabets_dispersion_constant(tmp_path, monkeypatch
     seen = []
     run_packet = blind.run_packet
 
-    def recorded(state, *args, **kwargs):
-        seen.append(state.R)
-        return run_packet(state, *args, **kwargs)
+    def recorded(*args, **kwargs):
+        seen.append(inspect.signature(run_packet).bind(*args, **kwargs).arguments["R"])
+        return run_packet(*args, **kwargs)
 
     monkeypatch.setattr(blind, "run_packet", recorded)
     monkeypatch.setattr(harness, "WORKERS", 1)

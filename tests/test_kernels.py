@@ -80,19 +80,19 @@ def test_kernel_matches_blind_step(
         _track(w, x, start, count, mu, eps, r, normalized, s_out)
 
     for t in range(trials):
-        state = blind.BlindTrackerState(w=w0[t].copy(), mu=mu, epsilon=eps, R=r)
+        w_ref = w0[t]
         expected = np.empty(count)
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(count):
-                _, expected[i] = blind.blind_step(
-                    state, x[(start + i) % packet_len, t], normalized
+                w_ref, expected[i] = blind.blind_step(
+                    w_ref, x[(start + i) % packet_len, t], mu, eps, r, normalized
                 )
         if t == diverging:
             if count >= 2:
                 assert not np.all(np.isfinite(w[t]))
             continue
         np.testing.assert_allclose(s_out[:, t], expected, rtol=1e-10, atol=1e-13)
-        np.testing.assert_allclose(w[t], state.w, rtol=1e-10, atol=1e-13)
+        np.testing.assert_allclose(w[t], w_ref, rtol=1e-10, atol=1e-13)
         if mu == 0.0 or w_scales[t] == 0.0:
             assert np.array_equal(w[t], w0[t])
 
@@ -174,9 +174,9 @@ def test_tracker_inputs_built_per_trial_equal_the_group_build(
     # row t of the steps and block factors depends only on packet column t:
     # built from that (P, 1, N) column alone, it is bit-equal to row t of
     # one build over the (P, T, N) group, short tail block included.  An
-    # overflowing column stays in its own rows, and ``run_packet``, which
-    # builds the same inputs, raises no warning for it (pytest turns
-    # RuntimeWarning into an error): at most its own trial diverges.
+    # overflowing column stays in its own rows; ``run_packet``, which
+    # builds the same inputs, rejects its packet naming its trial, with
+    # no warning (pytest turns RuntimeWarning into an error).
     packet_len = max(1, blocks * kernels.BLOCK + tail)
     x = _packet(np.random.default_rng(seed), packet_len, trials, n)
     if overflowing is not None and overflowing < trials:
@@ -195,10 +195,7 @@ def test_tracker_inputs_built_per_trial_equal_the_group_build(
         return
     if packet_len > 1:
         assert not np.all(np.isfinite(factors[overflowing]))
-    state = blind.BlindTrackerState(w=np.ones((trials, n), dtype=complex), mu=mu, epsilon=eps)
-    try:
-        blind.run_packet(state, x, 1, normalized=normalized)
-    except FloatingPointError as exc:
-        assert f"weights of trial {overflowing} are non-finite" in str(exc)
-    others = np.arange(trials) != overflowing
-    assert np.all(np.isfinite(state.w[others]))
+    w = np.ones((trials, n), dtype=complex)
+    message = f"^packet of trial {overflowing} has a squared norm beyond the float range$"
+    with pytest.raises(ValueError, match=message):
+        blind.run_packet(w, x, 1, mu, eps, 1.0, normalized=normalized)

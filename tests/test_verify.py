@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cmtmimo import combine, harness, verify
+from cmtmimo import combine, harness, kernels, verify
 from cmtmimo.config import load_config
 
 SEED = load_config(None).run.master_seed  # the seed `cmtmimo verify` uses by default
@@ -54,6 +54,26 @@ def test_suite_catches_a_planted_reference_bug(monkeypatch):
     monkeypatch.setattr(harness, "reference_weights", contaminated_mmse)
     with pytest.raises(AssertionError, match="MMSE below MF"):
         dict(verify._CHECKS)["combine.mmse_dominance"](SEED)
+
+
+def test_suite_catches_a_planted_frozen_tracker(monkeypatch):
+    # a tracker that takes zero steps leaves every trial at its contaminated
+    # start: its median never drops, but it must fail to rise
+    track = kernels.track_segment
+
+    def frozen(w, x_packet, eta, *args):
+        track(w, x_packet, np.zeros_like(eta), *args)
+
+    monkeypatch.setattr(kernels, "track_segment", frozen)
+    with pytest.raises(AssertionError, match="median SINR rises by only"):
+        dict(verify._CHECKS)["blind.cost_descent"](SEED)
+
+
+@pytest.mark.parametrize("seed", [34, 35, 37, 38])
+def test_cost_descent_holds_at_seeds_its_private_model_failed(seed):
+    # the check's earlier private link model dropped its smoothed median
+    # by 0.13 dB at each of these seeds, against the 0.1 dB bound
+    dict(verify._CHECKS)["blind.cost_descent"](seed)
 
 
 def test_report_formatting_marks_failures():
